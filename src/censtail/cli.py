@@ -137,18 +137,32 @@ def _k_values(args):
     return list(range(args.k_min, args.k_max + 1, args.k_step))
 
 
-def _write_atomic(path, text):
-    """Write text to path via a same-directory temp file and rename, so a
-    failure can never leave a partial output file behind."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+def _write_atomic(outputs):
+    """Write each (path, text) pair through a same-directory temp file, then
+    rename them all into place, so a failure never leaves an output behind.
+
+    Outputs get the mode a plain ``open()`` would give them (0o666 less the
+    umask), not the 0o600 of the temp file.
+    """
+    umask = os.umask(0)
+    os.umask(umask)
+    temps, done = [], []
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        for path, text in outputs:
+            fd, tmp = tempfile.mkstemp(
+                dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp"
+            )
+            temps.append(tmp)
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            os.chmod(tmp, 0o666 & ~umask)
+        for tmp, (path, _) in zip(temps, outputs):
+            os.replace(tmp, path)
+            done.append(path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for name in temps[len(done):] + done:
+            if os.path.exists(name):
+                os.unlink(name)
         raise
 
 
@@ -164,11 +178,15 @@ def _cmd_estimate(args):
         estimators = ["p_hat"] + estimators
     kernels = [builtin_kernel(name) for name in _split_list(args.kernels)]
     path = estimate_path(sorted_sample, _k_values(args), estimators, kernels)
-    _write_atomic(args.output, render_csv(path.to_table()))
+    _write_atomic([(args.output, render_csv(path.to_table()))])
     return 0
 
 
 def _cmd_simulate(args):
+    stem, ext = os.path.splitext(args.output)
+    if ext.lower() == ".json":
+        raise _UsageError("--output must not end in .json: the JSON result "
+                          "document is written next to the CSV")
     with open(args.config, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -186,11 +204,9 @@ def _cmd_simulate(args):
                 f"{WORKERS_ENV_VAR} must be an integer, got {env_workers!r}"
             ) from None
     result = run_simulation(config)
-    json_path = os.path.splitext(args.output)[0] + ".json"
-    csv_text = render_csv(result.to_table())
+    json_path = stem + ".json"
     json_text = json.dumps(result.to_json_dict(), indent=2, sort_keys=True) + "\n"
-    _write_atomic(args.output, csv_text)
-    _write_atomic(json_path, json_text)
+    _write_atomic([(args.output, render_csv(result.to_table())), (json_path, json_text)])
     print(f"wrote {args.output} and {json_path}")
     return 0
 

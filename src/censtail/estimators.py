@@ -5,9 +5,9 @@ order statistics entering the tail fit.  The observations above the
 threshold order statistic (the (n-k)-th from below) carry the information;
 k trades bias (large k) against variance (small k).
 
-``estimate_path`` evaluates a whole set of estimators over a grid of k in
-one pass, reusing the cumulative-hazard precomputation shared by all of
-them.
+Every entry point runs the same engine: one pass over the k grid that reads
+the Nelson-Aalen and Kaplan-Meier survival at the order statistics, computed
+once per sample.  ``mns`` is the kernel estimator with the indicator kernel.
 """
 
 from __future__ import annotations
@@ -23,8 +23,9 @@ from .errors import (
     KernelAxiomViolation,
     ZeroSurvivalAtThreshold,
 )
+from .kernels import INDICATOR
 from .samples import Table
-from .survival import kaplan_meier_curve, nelson_aalen_curve
+from .survival import _survival_at_order_stats
 
 ESTIMATOR_NAMES = ("hill", "p_hat", "efg", "worms", "mns")
 
@@ -49,61 +50,45 @@ def _check_kernel(kernel):
     return kernel
 
 
-class _TailArrays:
-    """Per-sample precomputation shared by every estimator.
+def _tail_path(sample, k_list, names=(), kernels=()):
+    """The tail engine behind every estimator entry point.
 
-    Holds the logs of the order statistics and the Kaplan-Meier and
-    Nelson-Aalen survival values evaluated at each order statistic
-    (tie-aware, following each curve's own convention at a jump point).
+    Evaluates the estimators ``names`` and then one kernel estimator per
+    entry of ``kernels`` at each already validated k of ``k_list``, and
+    returns a float array of shape (len(names) + len(kernels), len(k_list)),
+    NaN where a cell is undefined: ``efg`` when the top k are all censored,
+    ``worms`` when the Kaplan-Meier survival at the threshold is zero.
+    ``mns`` is the indicator-kernel row.  k = n is meaningful for p_hat only.
     """
+    n = sample.n
+    delta = sample.delta.astype(float)
+    logz = np.log(sample.z)
+    na_at, km_at = _survival_at_order_stats(sample)
+    plain_rows = [(r, name) for r, name in enumerate(names) if name != "mns"]
+    kernel_rows = [(r, INDICATOR) for r, name in enumerate(names) if name == "mns"]
+    kernel_rows += [(len(names) + r, kern) for r, kern in enumerate(kernels)]
+    out = np.full((len(names) + len(kernels), len(k_list)), np.nan)
+    for j, k in enumerate(k_list):
+        t = n - k - 1  # index of the threshold order statistic Z_{n-k:n}
+        hill = np.mean(logz[t + 1:]) - logz[t]
+        p = np.mean(delta[t + 1:])
+        values = {"hill": hill, "p_hat": p, "efg": hill / p if p else np.nan}
+        if km_at[t] != 0.0:
+            values["worms"] = np.sum(km_at[t:n - 1] * np.diff(logz[t:])) / km_at[t]
+        for r, name in plain_rows:
+            out[r, j] = values.get(name, np.nan)
+        if kernel_rows:
+            # top order statistics from the largest down: i = 1..k
+            ratio = na_at[t + 1:][::-1] / na_at[t]
+            weighted = (delta[t + 1:][::-1] / np.arange(1, k + 1, dtype=float)) * ratio
+            excess = logz[t + 1:][::-1] - logz[t]
+            for r, kern in kernel_rows:
+                out[r, j] = np.sum(weighted * kern.g_prime(ratio) * excess)
+    return out
 
-    def __init__(self, sample):
-        self.n = sample.n
-        self.z = sample.z
-        self.delta = sample.delta.astype(float)
-        self.logz = np.log(sample.z)
-        self.na_at = nelson_aalen_curve(sample).survival(sample.z)
-        self.km_at = kaplan_meier_curve(sample).survival(sample.z)
 
-    def hill(self, k):
-        n = self.n
-        return float(np.mean(self.logz[n - k:]) - self.logz[n - k - 1])
-
-    def p_hat(self, k):
-        return float(np.mean(self.delta[self.n - k:]))
-
-    def efg(self, k):
-        p = self.p_hat(k)
-        if p == 0.0:
-            raise DegenerateP(f"all {k} top observations are censored")
-        return self.hill(k) / p
-
-    def worms(self, k):
-        n = self.n
-        threshold_survival = self.km_at[n - k - 1]
-        if threshold_survival == 0.0:
-            raise ZeroSurvivalAtThreshold(
-                "Kaplan-Meier survival vanishes at the threshold order statistic"
-            )
-        weights = self.km_at[n - k - 1:n - 1]
-        log_spacings = np.diff(self.logz[n - k - 1:])
-        return float(np.sum(weights * log_spacings) / threshold_survival)
-
-    def mns(self, k):
-        n = self.n
-        d = self.delta[n - k:][::-1]
-        ratios = self.na_at[n - k:][::-1] / self.na_at[n - k - 1]
-        logs = self.logz[n - k:][::-1] - self.logz[n - k - 1]
-        i = np.arange(1, k + 1, dtype=float)
-        return float(np.sum((d / i) * ratios * logs))
-
-    def kernel(self, k, kern):
-        n = self.n
-        d = self.delta[n - k:][::-1]
-        ratios = self.na_at[n - k:][::-1] / self.na_at[n - k - 1]
-        logs = self.logz[n - k:][::-1] - self.logz[n - k - 1]
-        i = np.arange(1, k + 1, dtype=float)
-        return float(np.sum((d / i) * ratios * kern.g_prime(ratios) * logs))
+def _at_k(sample, k, names=(), kernels=()):
+    return float(_tail_path(sample, (k,), names, kernels)[0, 0])
 
 
 def hill(sample, k):
@@ -113,14 +98,12 @@ def hill(sample, k):
     statistics; under censoring it targets the tail index of Z, not the one
     of the variable of interest.
     """
-    k = _check_k(k, sample.n)
-    return _TailArrays(sample).hill(k)
+    return _at_k(sample, _check_k(k, sample.n), ("hill",))
 
 
 def p_hat(sample, k):
     """Proportion of uncensored observations among the k largest."""
-    k = _check_k(k, sample.n, allow_n=True)
-    return _TailArrays(sample).p_hat(k)
+    return _at_k(sample, _check_k(k, sample.n, allow_n=True), ("p_hat",))
 
 
 def efg(sample, k):
@@ -132,7 +115,10 @@ def efg(sample, k):
         When every one of the k largest observations is censored.
     """
     k = _check_k(k, sample.n)
-    return _TailArrays(sample).efg(k)
+    value = _at_k(sample, k, ("efg",))
+    if isnan(value):
+        raise DegenerateP(f"all {k} top observations are censored")
+    return value
 
 
 def worms(sample, k):
@@ -147,8 +133,12 @@ def worms(sample, k):
         When the Kaplan-Meier survival at the threshold is exactly zero
         (only possible with ties at an uncensored maximum).
     """
-    k = _check_k(k, sample.n)
-    return _TailArrays(sample).worms(k)
+    value = _at_k(sample, _check_k(k, sample.n), ("worms",))
+    if isnan(value):
+        raise ZeroSurvivalAtThreshold(
+            "Kaplan-Meier survival vanishes at the threshold order statistic"
+        )
+    return value
 
 
 def mns(sample, k):
@@ -157,10 +147,10 @@ def mns(sample, k):
     Sums (delta_{[n-i+1:n]} / i) * R_i * log(Z_{n-i+1:n}/Z_{n-k:n}) for
     i = 1..k, where R_i is the Nelson-Aalen survival at Z_{n-i+1:n} divided
     by its value at the threshold Z_{n-k:n}.  The Nelson-Aalen survival is
-    strictly positive, so there is no division hazard.
+    strictly positive, so there is no division hazard.  This is the kernel
+    estimator with the indicator kernel.
     """
-    k = _check_k(k, sample.n)
-    return _TailArrays(sample).mns(k)
+    return _at_k(sample, _check_k(k, sample.n), ("mns",))
 
 
 def kernel_estimator(sample, k, kernel):
@@ -185,8 +175,7 @@ def kernel_estimator(sample, k, kernel):
         ratios.
     """
     k = _check_k(k, sample.n)
-    _check_kernel(kernel)
-    return _TailArrays(sample).kernel(k, kernel)
+    return _at_k(sample, k, kernels=(_check_kernel(kernel),))
 
 
 @dataclass(frozen=True)
@@ -261,19 +250,12 @@ def estimate_path(sample, k_values, estimators=ESTIMATOR_NAMES, kernels=()):
                 f"unknown estimator {name!r}; choose from {ESTIMATOR_NAMES}"
             )
     kernels = tuple(_check_kernel(kern) for kern in kernels)
-    arrays = _TailArrays(sample)
-    columns = {}
-    for name in names:
-        fn = getattr(arrays, name)
-        columns[name] = tuple(_cell(fn, k) for k in k_list)
-    for kern in kernels:
-        fn = lambda k, kern=kern: arrays.kernel(k, kern)
-        columns[KERNEL_COLUMN_PREFIX + kern.name] = tuple(_cell(fn, k) for k in k_list)
-    return EstimatePath(tuple(k_list), columns)
-
-
-def _cell(fn, k):
-    try:
-        return fn(k)
-    except (DegenerateP, ZeroSurvivalAtThreshold):
-        return None
+    rows = _tail_path(sample, k_list, names, kernels)
+    columns = [*names, *(KERNEL_COLUMN_PREFIX + kern.name for kern in kernels)]
+    return EstimatePath(
+        tuple(k_list),
+        {
+            name: tuple(None if isnan(v) else v for v in row)
+            for name, row in zip(columns, rows.tolist())
+        },
+    )

@@ -250,11 +250,8 @@ class MomentSpec:
             raise InvalidSpec(f"lam must be finite, got {self.lam}")
 
 
-def _adaptive_quad(fn, a, b, split=None):
-    """Adaptive quadrature to ~1e-12 absolute; ``split`` optionally forces an
-    initial subdivision point (used to test subdivision invariance)."""
-    if split is not None:
-        return _adaptive_quad(fn, a, split) + _adaptive_quad(fn, split, b)
+def _adaptive_quad(fn, a, b):
+    """Adaptive quadrature to ~1e-12 absolute."""
     value, _ = quad(fn, a, b, epsabs=1e-13, epsrel=1e-13, limit=500)
     return value
 

@@ -17,6 +17,31 @@ def _freeze(arr):
     return arr
 
 
+def _validate_into(sample, ordered=False):
+    """Check a sample's ``z`` and ``delta`` and store them as frozen float
+    and int8 arrays; ``ordered`` also requires ``z`` to be nondecreasing."""
+    z = np.asarray(sample.z, dtype=float)
+    delta_raw = np.asarray(sample.delta)
+    if z.ndim != 1 or delta_raw.ndim != 1:
+        raise ValueError("z and delta must be one-dimensional")
+    if z.shape != delta_raw.shape:
+        raise ValueError(
+            f"z and delta lengths differ: {z.shape[0]} vs {delta_raw.shape[0]}"
+        )
+    if z.size == 0:
+        raise EmptySample("sample must contain at least one observation")
+    if not np.all(np.isfinite(z)) or np.any(z <= 0.0):
+        raise NonPositiveObservation(
+            "all observations must be finite and strictly positive"
+        )
+    if ordered and np.any(np.diff(z) < 0):
+        raise ValueError("order statistics must be nondecreasing")
+    if not np.isin(delta_raw, (0, 1)).all():
+        raise InvalidIndicator("censoring indicators must be 0 or 1")
+    object.__setattr__(sample, "z", _freeze(z))
+    object.__setattr__(sample, "delta", _freeze(delta_raw.astype(np.int8)))
+
+
 @dataclass(frozen=True)
 class CensoredSample:
     """Raw right-censored observations ``(z_i, delta_i)``.
@@ -32,24 +57,7 @@ class CensoredSample:
     delta: np.ndarray
 
     def __post_init__(self):
-        z = np.asarray(self.z, dtype=float)
-        delta_raw = np.asarray(self.delta)
-        if z.ndim != 1 or delta_raw.ndim != 1:
-            raise ValueError("z and delta must be one-dimensional")
-        if z.shape != delta_raw.shape:
-            raise ValueError(
-                f"z and delta lengths differ: {z.shape[0]} vs {delta_raw.shape[0]}"
-            )
-        if z.size == 0:
-            raise EmptySample("sample must contain at least one observation")
-        if not np.all(np.isfinite(z)) or np.any(z <= 0.0):
-            raise NonPositiveObservation(
-                "all observations must be finite and strictly positive"
-            )
-        if not np.isin(delta_raw, (0, 1)).all():
-            raise InvalidIndicator("censoring indicators must be 0 or 1")
-        object.__setattr__(self, "z", _freeze(z))
-        object.__setattr__(self, "delta", _freeze(delta_raw.astype(np.int8)))
+        _validate_into(self)
 
     @classmethod
     def from_pairs(cls, pairs):
@@ -83,22 +91,7 @@ class SortedCensoredSample:
     delta: np.ndarray
 
     def __post_init__(self):
-        z = np.asarray(self.z, dtype=float)
-        delta_raw = np.asarray(self.delta)
-        if z.ndim != 1 or delta_raw.ndim != 1 or z.shape != delta_raw.shape:
-            raise ValueError("z and delta must be one-dimensional and equal length")
-        if z.size == 0:
-            raise EmptySample("sample must contain at least one observation")
-        if not np.all(np.isfinite(z)) or np.any(z <= 0.0):
-            raise NonPositiveObservation(
-                "all observations must be finite and strictly positive"
-            )
-        if np.any(np.diff(z) < 0):
-            raise ValueError("order statistics must be nondecreasing")
-        if not np.isin(delta_raw, (0, 1)).all():
-            raise InvalidIndicator("censoring indicators must be 0 or 1")
-        object.__setattr__(self, "z", _freeze(z))
-        object.__setattr__(self, "delta", _freeze(delta_raw.astype(np.int8)))
+        _validate_into(self, ordered=True)
 
     @property
     def n(self):

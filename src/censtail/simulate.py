@@ -8,6 +8,7 @@ only on the configuration and never on scheduling or worker count.
 from __future__ import annotations
 
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SimulationError, TooFewPoints, UnknownKernel
-from .estimators import ESTIMATOR_NAMES, KERNEL_COLUMN_PREFIX, estimate_path
+from .estimators import ESTIMATOR_NAMES, KERNEL_COLUMN_PREFIX, _tail_path
 from .kernels import MomentSpec, asymptotic_variance, builtin_kernel
 from .models import Burr, Frechet, ModelSpec, Pareto, RngStream, sample_censored
 from .samples import Table, sort_with_concomitants
@@ -121,23 +122,20 @@ class SimulationConfig:
         n = _get(doc, "n", int)
         replications = _get(doc, "replications", int)
         k_values = _parse_k(doc)
-        estimators = tuple(doc.get("estimators", ("efg", "worms", "mns")))
-        kernels = tuple(doc.get("kernels", ("biweight", "triweight")))
-        master_seed = doc.get("master_seed", 0)
-        workers = doc.get("workers", 1)
-        if not isinstance(master_seed, int):
-            raise ConfigError("master_seed must be an integer", field="master_seed")
-        if not isinstance(workers, int):
-            raise ConfigError("workers must be an integer", field="workers")
+        optional = {
+            key: doc[key]
+            for key in ("estimators", "kernels", "master_seed", "workers")
+            if key in doc
+        }
+        for key in ("master_seed", "workers"):
+            if not isinstance(optional.get(key, 0), int):
+                raise ConfigError(f"{key} must be an integer", field=key)
         return cls(
             model=model,
             n=n,
             replications=replications,
             k_values=k_values,
-            estimators=estimators,
-            kernels=kernels,
-            master_seed=master_seed,
-            workers=workers,
+            **optional,
         )
 
 
@@ -223,8 +221,9 @@ class SimulationResult:
     """Aggregated output of :func:`run_simulation`.
 
     ``cells`` maps column name to a tuple of :class:`CellAggregate` aligned
-    with ``config.k_values``; ``replicate_values`` is populated only in
-    debug mode (``keep_replicates=True``) with per-replication estimates.
+    with ``config.k_values``; ``replicate_values`` is populated only with
+    ``keep_replicates=True``: per column and k, the estimate of each
+    replication in order, None where undefined.
     """
 
     config: SimulationConfig
@@ -269,34 +268,9 @@ class SimulationResult:
         }
 
 
-class _Welford:
-    """Numerically stable streaming mean and second central moment."""
-
-    __slots__ = ("count", "mean", "m2")
-
-    def __init__(self):
-        self.count = 0
-        self.mean = 0.0
-        self.m2 = 0.0
-
-    def add(self, x):
-        self.count += 1
-        delta = x - self.mean
-        self.mean += delta / self.count
-        self.m2 += delta * (x - self.mean)
-
-    def aggregate(self, target):
-        if self.count == 0:
-            return CellAggregate(mean=None, bias=None, mse=None, defined_count=0)
-        bias = self.mean - target
-        mse = self.m2 / self.count + bias * bias
-        return CellAggregate(
-            mean=self.mean, bias=bias, mse=mse, defined_count=self.count
-        )
-
-
 def _replicate_paths(config, r_start, r_stop):
-    """Estimate paths for replications r_start..r_stop-1 (1-based streams)."""
+    """Estimate arrays for replications r_start..r_stop-1 (1-based streams),
+    stacked as (replication, column, k) with NaN for undefined cells."""
     kernels = tuple(builtin_kernel(name) for name in config.kernels)
     out = []
     for r in range(r_start, r_stop):
@@ -304,19 +278,16 @@ def _replicate_paths(config, r_start, r_stop):
         sample = sort_with_concomitants(
             sample_censored(config.model, config.n, stream)
         )
-        path = estimate_path(
-            sample, config.k_values, estimators=config.estimators, kernels=kernels
-        )
-        out.append(path.estimates)
-    return out
+        out.append(_tail_path(sample, config.k_values, config.estimators, kernels))
+    return np.stack(out)
 
 
 def _collect_paths(config):
     total = config.replications
+    workers = min(config.workers, total, os.cpu_count() or 1)
     try:
-        if config.workers <= 1 or total == 1:
+        if workers <= 1:
             return _replicate_paths(config, 1, total + 1)
-        workers = min(config.workers, total)
         chunks = []
         per = math.ceil(total / (workers * 4))
         start = 1
@@ -332,10 +303,15 @@ def _collect_paths(config):
         raise
     except Exception as exc:
         raise SimulationError(f"simulation replication failed: {exc}") from exc
-    paths = []
-    for piece in pieces:
-        paths.extend(piece)
-    return paths
+    return np.concatenate(pieces)
+
+
+def _aggregate(count, mean, m2, target):
+    if count == 0:
+        return CellAggregate(mean=None, bias=None, mse=None, defined_count=0)
+    bias = mean - target
+    mse = m2 / count + bias * bias
+    return CellAggregate(mean=mean, bias=bias, mse=mse, defined_count=count)
 
 
 def run_simulation(config, keep_replicates=False):
@@ -345,8 +321,8 @@ def run_simulation(config, keep_replicates=False):
     ----------
     config : SimulationConfig
     keep_replicates : bool
-        Debug mode: retain every per-replication estimate so streamed
-        aggregates can be cross-checked.
+        Also return every per-replication estimate, so streamed aggregates
+        can be cross-checked.
 
     Returns
     -------
@@ -358,26 +334,29 @@ def run_simulation(config, keep_replicates=False):
     """
     started = time.perf_counter()
     paths = _collect_paths(config)
+    count = np.zeros(paths.shape[1:], dtype=np.int64)
+    mean = np.zeros(paths.shape[1:])
+    m2 = np.zeros(paths.shape[1:])
+    for values in paths:  # Welford's update in replication order, every cell at once
+        defined = ~np.isnan(values)
+        count += defined
+        delta = values - mean
+        mean = np.where(defined, mean + delta / count, mean)
+        m2 = np.where(defined, m2 + delta * (values - mean), m2)
     target = config.model.gamma1
-    names = list(paths[0])
-    stats = {name: [_Welford() for _ in config.k_values] for name in names}
-    for estimates in paths:  # replication order: merge is scheduling-free
-        for name in names:
-            column = estimates[name]
-            for j, value in enumerate(column):
-                if value is not None:
-                    stats[name][j].add(value)
+    names = (*config.estimators, *(KERNEL_COLUMN_PREFIX + k for k in config.kernels))
     cells = {
-        name: tuple(w.aggregate(target) for w in stats[name]) for name in names
+        name: tuple(_aggregate(*cell, target) for cell in zip(*stats))
+        for name, *stats in zip(names, count.tolist(), mean.tolist(), m2.tolist())
     }
     replicate_values = None
     if keep_replicates:
         replicate_values = {
             name: tuple(
-                tuple(estimates[name][j] for estimates in paths)
-                for j in range(len(config.k_values))
+                tuple(None if math.isnan(v) else v for v in per_k)
+                for per_k in column.T.tolist()
             )
-            for name in names
+            for name, column in zip(names, np.moveaxis(paths, 1, 0))
         }
     runtime = time.perf_counter() - started
     return SimulationResult(
@@ -466,11 +445,3 @@ def normality_check(model, n, k, replications, kernel, master_seed=0, workers=1)
         theoretical_variance=asymptotic_variance(kern, spec),
     )
 
-
-def desk_scale_config(model, n=1000, replications=200, k_values=None, **kwargs):
-    """Convenience constructor mirroring the default desk-scale experiment."""
-    if k_values is None:
-        k_values = tuple(range(20, min(501, n), 10))
-    return SimulationConfig(
-        model=model, n=n, replications=replications, k_values=tuple(k_values), **kwargs
-    )

@@ -85,11 +85,42 @@ class StepCurve:
 
 
 def _tie_blocks(sample):
-    """Unique observed values and the (start, end) index range of each tie
-    block in the sorted sample; end is one past the last index."""
+    """Unique observed values and, for each, one past the last index of its
+    tie block in the sorted sample."""
     uniq, start = np.unique(sample.z, return_index=True)
-    end = np.concatenate((start[1:], [sample.n]))
-    return uniq, start, end
+    return uniq, np.concatenate((start[1:], [sample.n]))
+
+
+def _km_after_blocks(sample, end):
+    """Kaplan-Meier survival just after each tie block: the product of the
+    factors (n - i) / (n - i + 1) over the uncensored ranks i up to the block."""
+    n = sample.n
+    positions = np.arange(n)
+    ratio = (n - 1.0 - positions) / (n - positions)
+    factors = np.where(sample.delta == 1, ratio, 1.0)
+    return np.cumprod(factors)[end - 1]
+
+
+def _na_after_blocks(sample, end):
+    """Nelson-Aalen survival just after each tie block: exp of minus the
+    hazards 1 / (n - i + 1) summed over the uncensored ranks i up to the block."""
+    n = sample.n
+    hazard = sample.delta / (n - np.arange(n))
+    return np.exp(-np.cumsum(hazard)[end - 1])
+
+
+def _survival_at_order_stats(sample):
+    """Nelson-Aalen and Kaplan-Meier survival at every order statistic.
+
+    Equal to ``nelson_aalen_curve(sample).survival(sample.z)`` and
+    ``kaplan_meier_curve(sample).survival(sample.z)`` without building the
+    curves: Nelson-Aalen at z covers the tie blocks strictly below z,
+    Kaplan-Meier those at or below z.
+    """
+    uniq, end = _tie_blocks(sample)
+    block = np.searchsorted(uniq, sample.z)
+    na = np.concatenate(([1.0], _na_after_blocks(sample, end)))[block]
+    return na, _km_after_blocks(sample, end)[block]
 
 
 def _drop_flat_steps(jumps, values):
@@ -106,7 +137,7 @@ def empirical_H(sample):
     ``survival_before`` at the i-th order statistic equals (n - i + 1) / n.
     """
     n = sample.n
-    uniq, _, end = _tie_blocks(sample)
+    uniq, end = _tie_blocks(sample)
     values = (n - end) / n
     return StepCurve(uniq, values, include_at_jump=True)
 
@@ -118,7 +149,7 @@ def empirical_H1(sample):
     accessor gives the sub-distribution itself.
     """
     n = sample.n
-    uniq, _, end = _tie_blocks(sample)
+    uniq, end = _tie_blocks(sample)
     cum_unc = np.cumsum(sample.delta)[end - 1]
     jumps, values = _drop_flat_steps(uniq, 1.0 - cum_unc / n)
     return StepCurve(jumps, values, include_at_jump=True)
@@ -131,13 +162,8 @@ def kaplan_meier_curve(sample):
     (right-continuous).  The curve reaches exactly zero when and only when
     the largest observation is uncensored.
     """
-    n = sample.n
-    positions = np.arange(n)
-    ratio = (n - 1.0 - positions) / (n - positions)
-    factors = np.where(sample.delta == 1, ratio, 1.0)
-    cumulative = np.cumprod(factors)
-    uniq, _, end = _tie_blocks(sample)
-    jumps, values = _drop_flat_steps(uniq, cumulative[end - 1])
+    uniq, end = _tie_blocks(sample)
+    jumps, values = _drop_flat_steps(uniq, _km_after_blocks(sample, end))
     return StepCurve(jumps, values, include_at_jump=True)
 
 
@@ -150,12 +176,8 @@ def nelson_aalen_curve(sample):
     strictly positive everywhere; in particular it is safe as a
     denominator, unlike Kaplan-Meier.
     """
-    n = sample.n
-    positions = np.arange(n)
-    hazard = sample.delta / (n - positions)
-    cumulative_hazard = np.cumsum(hazard)
-    uniq, _, end = _tie_blocks(sample)
-    jumps, values = _drop_flat_steps(uniq, np.exp(-cumulative_hazard[end - 1]))
+    uniq, end = _tie_blocks(sample)
+    jumps, values = _drop_flat_steps(uniq, _na_after_blocks(sample, end))
     return StepCurve(jumps, values, include_at_jump=False)
 
 

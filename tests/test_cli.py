@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 
 import pytest
 
@@ -187,6 +189,35 @@ class TestSimulate:
         code = main(["simulate", "--config", str(bad),
                      "--output", str(tmp_path / "o.csv")])
         assert code == 1
+
+
+    def test_json_output_path_rejected_before_running(self, tmp_path, capsys):
+        config = small_sim_config(tmp_path)
+        out = tmp_path / "out.json"
+        code = main(["simulate", "--config", str(config), "--output", str(out)])
+        assert code == 1
+        assert ".json" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_outputs_get_umask_mode(self, tmp_path):
+        config = small_sim_config(tmp_path)
+        out = tmp_path / "results.csv"
+        old = os.umask(0o022)
+        try:
+            assert main(["simulate", "--config", str(config), "--output", str(out)]) == 0
+        finally:
+            os.umask(old)
+        for path in (out, tmp_path / "results.json"):
+            assert stat.S_IMODE(path.stat().st_mode) == 0o644
+
+    def test_failed_json_write_leaves_no_csv(self, tmp_path):
+        config = small_sim_config(tmp_path)
+        (tmp_path / "results.json").mkdir()  # the JSON rename must fail
+        out = tmp_path / "results.csv"
+        code = main(["simulate", "--config", str(config), "--output", str(out)])
+        assert code == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "results.json"]
+        assert not any((tmp_path / "results.json").iterdir())
 
 
 class TestMoments:

@@ -130,6 +130,36 @@ class TestRunSimulation:
         parallel = run_simulation(small_config(workers=2))
         assert serial.to_table().rows == parallel.to_table().rows
 
+    def test_pool_size_is_bounded(self, monkeypatch):
+        import censtail.simulate as simulate
+
+        sizes = []
+
+        class RecordingPool:
+            """Stands in for ProcessPoolExecutor; runs chunks in-process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 3)
+        result = run_simulation(small_config(workers=10_000))
+        assert sizes == [3]
+        serial = run_simulation(small_config(workers=1))
+        assert result.to_table().rows == serial.to_table().rows
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: None)
+        run_simulation(small_config(workers=10_000))
+        assert sizes == [3]  # unknown CPU count: one worker, in-process
+
     def test_streamed_aggregates_match_replicates(self):
         config = small_config(replications=30)
         result = run_simulation(config, keep_replicates=True)
