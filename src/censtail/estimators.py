@@ -5,9 +5,13 @@ order statistics entering the tail fit.  The observations above the
 threshold order statistic (the (n-k)-th from below) carry the information;
 k trades bias (large k) against variance (small k).
 
-Every entry point runs the same engine: one pass over the k grid that reads
-the Nelson-Aalen and Kaplan-Meier survival at the order statistics, computed
-once per sample.  ``mns`` is the kernel estimator with the indicator kernel.
+Every entry point runs the same engine, :func:`_tail_path`.  Its cost for a
+whole k grid is one O(n) pass for the Nelson-Aalen and Kaplan-Meier survival
+at the order statistics, then O(k_max) vectorised suffix sums over the top
+order statistics, gathered at the threshold of each k.  The built-in kernels
+enter through the polynomial coefficients of g'; a custom kernel has no
+such form and costs O(k) per k of the grid.  ``mns`` is the kernel
+estimator with the indicator kernel.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from .errors import (
     KernelAxiomViolation,
     ZeroSurvivalAtThreshold,
 )
-from .kernels import INDICATOR
+from .kernels import INDICATOR, Kernel
 from .samples import Table
 from .survival import _survival_at_order_stats
 
@@ -50,6 +54,29 @@ def _check_kernel(kernel):
     return kernel
 
 
+_SUM_BLOCK = 256
+
+
+def _suffix_sums(x):
+    """Sums of x[..., i:] for every i, plus a trailing 0, along the last axis.
+
+    The sums run from the last element down in blocks of ``_SUM_BLOCK``
+    counted from the top: a running sum inside each block plus the sum of
+    the totals of the blocks above.  That keeps the rounding error to about
+    the block size plus the block count, not the length, and makes every
+    sum the same to the last bit however far down the array reaches.
+    """
+    *lead, m = x.shape
+    count = -(-m // _SUM_BLOCK)
+    blocks = np.zeros((*lead, count * _SUM_BLOCK), x.dtype)
+    blocks[..., :m] = x[..., ::-1]
+    blocks = blocks.reshape(*lead, count, _SUM_BLOCK)
+    sums = np.cumsum(blocks, axis=-1)
+    sums[..., 1:, :] += np.cumsum(blocks.sum(axis=-1), axis=-1)[..., :-1, None]
+    sums = sums.reshape(*lead, count * _SUM_BLOCK)[..., m - 1::-1]
+    return np.concatenate((sums, np.zeros((*lead, 1), x.dtype)), axis=-1)
+
+
 def _tail_path(sample, k_list, names=(), kernels=()):
     """The tail engine behind every estimator entry point.
 
@@ -59,32 +86,85 @@ def _tail_path(sample, k_list, names=(), kernels=()):
     NaN where a cell is undefined: ``efg`` when the top k are all censored,
     ``worms`` when the Kaplan-Meier survival at the threshold is zero.
     ``mns`` is the indicator-kernel row.  k = n is meaningful for p_hat only.
+
+    Only the top k_max + 1 order statistics enter, and every cell is read
+    off suffix sums over them at the threshold index t = n - k - 1.  With
+    D_i = log Z_{i+1} - log Z_i and the sum over i >= t:
+
+    - hill(k) = sum of D_i * (n - 1 - i), divided by k;
+    - p_hat(k) = the number of uncensored among the top k, divided by k;
+    - efg = hill / p_hat;
+    - worms(k) = sum of D_i * KM_i, divided by KM_t;
+    - a kernel with g'(R) = sum of c_m R^m adds, for each m, c_m times the
+      sum of D_i * S_m(i + 1), divided by NA_t^(m+1), where S_m(j) sums
+      (delta_l / (n - l)) * NA_l^(m+1) over l >= j.
+
+    These are the defining sums of log(Z_l / Z_t) rearranged by summation
+    by parts, so every term is nonnegative and no two large sums cancel.
+    NA is divided by a power of two near its value at the lowest threshold,
+    which scales exactly and keeps NA^(m+1) in range.  As the sums run from
+    the top down, no cell depends on the rest of the grid: each equals its
+    scalar estimator bit for bit.  Kernels without ``g_prime_coefficients``
+    are evaluated one k at a time instead.
     """
     n = sample.n
-    delta = sample.delta.astype(float)
-    logz = np.log(sample.z)
-    na_at, km_at = _survival_at_order_stats(sample)
-    plain_rows = [(r, name) for r, name in enumerate(names) if name != "mns"]
-    kernel_rows = [(r, INDICATOR) for r, name in enumerate(names) if name == "mns"]
-    kernel_rows += [(len(names) + r, kern) for r, kern in enumerate(kernels)]
-    out = np.full((len(names) + len(kernels), len(k_list)), np.nan)
-    for j, k in enumerate(k_list):
-        t = n - k - 1  # index of the threshold order statistic Z_{n-k:n}
-        hill = np.mean(logz[t + 1:]) - logz[t]
-        p = np.mean(delta[t + 1:])
-        values = {"hill": hill, "p_hat": p, "efg": hill / p if p else np.nan}
-        if km_at[t] != 0.0:
-            values["worms"] = np.sum(km_at[t:n - 1] * np.diff(logz[t:])) / km_at[t]
-        for r, name in plain_rows:
-            out[r, j] = values.get(name, np.nan)
-        if kernel_rows:
-            # top order statistics from the largest down: i = 1..k
-            ratio = na_at[t + 1:][::-1] / na_at[t]
-            weighted = (delta[t + 1:][::-1] / np.arange(1, k + 1, dtype=float)) * ratio
-            excess = logz[t + 1:][::-1] - logz[t]
-            for r, kern in kernel_rows:
-                out[r, j] = np.sum(weighted * kern.g_prime(ratio) * excess)
-    return out
+    k = np.asarray(k_list, dtype=np.int64)
+    lo = max(n - 1 - int(k.max(initial=1)), 0)  # the lowest threshold of the grid
+    t = n - 1 - k - lo  # threshold indices into the top order statistics
+    delta = sample.delta[lo:]
+    logz = np.log(sample.z[lo:])
+    spacing = np.diff(logz)
+    above = np.arange(delta.size - 1, 0, -1)  # order statistics above each spacing
+    na, km = (arr[lo:] for arr in _survival_at_order_stats(sample))
+    wanted = set(names)
+    values = {}
+    if wanted & {"hill", "efg"}:
+        values["hill"] = _suffix_sums(spacing * above)[t] / k
+    if wanted & {"p_hat", "efg"}:
+        values["p_hat"] = _suffix_sums(delta.astype(np.int64))[t + 1] / k
+    if "efg" in wanted:
+        p = values["p_hat"]
+        values["efg"] = np.divide(values["hill"], p, out=np.full(p.shape, np.nan),
+                                  where=p != 0)
+    if "worms" in wanted:
+        km_t = km[t]
+        values["worms"] = np.divide(_suffix_sums(km[:-1] * spacing)[t], km_t,
+                                    out=np.full(km_t.shape, np.nan), where=km_t != 0)
+    entries = [INDICATOR if name == "mns" else name for name in names] + list(kernels)
+    kerns = {e for e in entries if isinstance(e, Kernel)}
+    if kerns:
+        weight = delta / (n - lo - np.arange(delta.size))  # delta / i, i = rank from the top
+        values.update(_kernel_rows(kerns, t, weight, logz, spacing, na))
+    rows = [values[e] for e in entries]
+    return np.array(rows, dtype=float).reshape(len(rows), k.size)
+
+
+def _kernel_rows(kernels, t, weight, logz, spacing, na):
+    """Kernel estimator values at the threshold indices ``t``, keyed by kernel."""
+    rows = {}
+    poly = [kern for kern in kernels if kern.g_prime_coefficients is not None]
+    powers = sorted({m + 1 for kern in poly
+                     for m, c in enumerate(kern.g_prime_coefficients) if c})
+    if powers:
+        scaled_na = np.ldexp(na, -np.frexp(na[0])[1])
+        na_pow = [None, scaled_na]
+        while len(na_pow) <= powers[-1]:
+            na_pow.append(na_pow[-1] * scaled_na)
+        weighted = _suffix_sums(np.stack([weight * na_pow[p] for p in powers]))
+        sums = _suffix_sums(spacing * weighted[:, 1:-1])[:, t]
+        ratio_sums = {p: s / na_pow[p][t] for p, s in zip(powers, sums)}
+        for kern in poly:
+            rows[kern] = sum(c * ratio_sums[m + 1]
+                             for m, c in enumerate(kern.g_prime_coefficients) if c)
+    for kern in kernels:
+        if kern.g_prime_coefficients is None:
+            row = np.empty(t.size)
+            for j, tj in enumerate(t.tolist()):
+                ratio = na[tj + 1:] / na[tj]
+                excess = logz[tj + 1:] - logz[tj]
+                row[j] = np.sum(weight[tj + 1:] * ratio * kern.g_prime(ratio) * excess)
+            rows[kern] = row
+    return rows
 
 
 def _at_k(sample, k, names=(), kernels=()):

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import InvalidSpec, KernelAxiomViolation, UnknownKernel
 
@@ -53,7 +52,17 @@ class Kernel:
         True once the kernel axioms have been checked; the estimators
         refuse unverified kernels.  Build custom kernels through
         :func:`custom_kernel`, which verifies and sets this flag.
+
+    Attributes
+    ----------
+    g_prime_coefficients : tuple of float or None
+        Coefficients c_0, c_1, ... of g'(s) = sum of c_m s^m on [0, 1] for
+        the built-in kernels, from which the estimators read every k of a
+        grid off cumulative sums; None for custom kernels, which are
+        evaluated one k at a time.
     """
+
+    g_prime_coefficients = None
 
     def __init__(self, name, k, g_prime, g_second, verified=False):
         self.name = name
@@ -101,6 +110,11 @@ TRIWEIGHT = Kernel(
     g_second=lambda s: 2.1875 * (-18.0 * s + 60.0 * s**3 - 42.0 * s**5),
     verified=True,
 )
+
+# g' expanded in powers of s; every product below is exact in binary
+INDICATOR.g_prime_coefficients = (1.0,)
+BIWEIGHT.g_prime_coefficients = tuple(1.875 * c for c in (1, 0, -6, 0, 5))
+TRIWEIGHT.g_prime_coefficients = tuple(2.1875 * c for c in (1, 0, -9, 0, 15, 0, -7))
 
 _BUILTINS = {
     "indicator": INDICATOR,
@@ -251,7 +265,13 @@ class MomentSpec:
 
 
 def _adaptive_quad(fn, a, b):
-    """Adaptive quadrature to ~1e-12 absolute."""
+    """Adaptive quadrature to ~1e-12 absolute.
+
+    scipy.integrate is imported here, on first use, so that importing
+    censtail, estimating and simulating do not load it.
+    """
+    from scipy.integrate import quad
+
     value, _ = quad(fn, a, b, epsabs=1e-13, epsrel=1e-13, limit=500)
     return value
 

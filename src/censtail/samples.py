@@ -127,7 +127,9 @@ class CsvFormat:
 
     ``header`` is True when the first line is a header, False when data
     starts on line 1, and None to sniff: the first line is treated as a
-    header when its first field does not parse as a number.
+    header only when none of its fields parses as a number.  Otherwise it
+    is data, so a malformed first row such as ``abc,1`` is a ParseError on
+    row 1 rather than a silently skipped header.
     """
 
     header: bool | None = None
@@ -175,7 +177,7 @@ def read_csv(source, fmt=CsvFormat()):
             if first_data_row:
                 is_header = fmt.header
                 if is_header is None:
-                    is_header = not _is_number(row[0])
+                    is_header = not any(_is_number(field) for field in row)
                 first_data_row = False
                 if is_header:
                     continue

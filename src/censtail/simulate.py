@@ -17,7 +17,13 @@ import numpy as np
 
 from .errors import ConfigError, SimulationError, TooFewPoints, UnknownKernel
 from .estimators import ESTIMATOR_NAMES, KERNEL_COLUMN_PREFIX, _tail_path
-from .kernels import MomentSpec, asymptotic_variance, builtin_kernel
+from .kernels import (
+    BUILTIN_KERNEL_NAMES,
+    Kernel,
+    MomentSpec,
+    asymptotic_variance,
+    builtin_kernel,
+)
 from .models import Burr, Frechet, ModelSpec, Pareto, RngStream, sample_censored
 from .samples import Table, sort_with_concomitants
 
@@ -29,9 +35,13 @@ RESULT_SCHEMA = "censtail-sim-result/1"
 class SimulationConfig:
     """Full description of one Monte Carlo experiment.
 
-    ``kernels`` holds built-in kernel names (each adds a
-    ``kernel_<name>`` column next to the plain ``estimators``), and
-    ``workers`` is a hint only: results are identical for any worker count.
+    ``kernels`` holds built-in kernel names and verified custom
+    :class:`~censtail.kernels.Kernel` objects (each adds a
+    ``kernel_<name>`` column next to the plain ``estimators``); a built-in
+    given as an object is stored by name.  ``workers`` is a hint only:
+    results are identical for any worker count.  Running a custom kernel in
+    more than one worker needs a picklable kernel (module-level functions,
+    not lambdas), and only built-in kernels round-trip through JSON.
     """
 
     model: ModelSpec
@@ -68,10 +78,7 @@ class SimulationConfig:
                 raise ConfigError(
                     f"unknown estimator {name!r}", field="estimators"
                 )
-        try:
-            kernels = tuple(builtin_kernel(str(name)).name for name in self.kernels)
-        except UnknownKernel as exc:
-            raise ConfigError(str(exc), field="kernels") from None
+        kernels = tuple(_config_kernel(entry) for entry in self.kernels)
         if not 0 <= int(self.master_seed) < 2**64:
             raise ConfigError(
                 "master_seed must be an unsigned 64-bit integer", field="master_seed"
@@ -101,10 +108,16 @@ class SimulationConfig:
             "replications": self.replications,
             "k_values": list(self.k_values),
             "estimators": list(self.estimators),
-            "kernels": list(self.kernels),
+            "kernels": [kern.name for kern in self._kernel_objects()],
             "master_seed": self.master_seed,
             "workers": self.workers,
         }
+
+    def _kernel_objects(self):
+        return tuple(
+            entry if isinstance(entry, Kernel) else builtin_kernel(entry)
+            for entry in self.kernels
+        )
 
     @classmethod
     def from_json_dict(cls, doc):
@@ -137,6 +150,24 @@ class SimulationConfig:
             k_values=k_values,
             **optional,
         )
+
+
+def _config_kernel(entry):
+    """A built-in kernel's name, or a verified custom kernel itself."""
+    if isinstance(entry, Kernel):
+        if entry.name in BUILTIN_KERNEL_NAMES and builtin_kernel(entry.name) is entry:
+            return entry.name
+        if not entry.verified:
+            raise ConfigError(
+                f"kernel {entry.name!r} has not passed the axiom checks; "
+                "build it with censtail.kernels.custom_kernel",
+                field="kernels",
+            )
+        return entry
+    try:
+        return builtin_kernel(str(entry)).name
+    except UnknownKernel as exc:
+        raise ConfigError(str(exc), field="kernels") from None
 
 
 def _get(doc, key, typ, path=""):
@@ -271,7 +302,7 @@ class SimulationResult:
 def _replicate_paths(config, r_start, r_stop):
     """Estimate arrays for replications r_start..r_stop-1 (1-based streams),
     stacked as (replication, column, k) with NaN for undefined cells."""
-    kernels = tuple(builtin_kernel(name) for name in config.kernels)
+    kernels = config._kernel_objects()
     out = []
     for r in range(r_start, r_stop):
         stream = RngStream(config.master_seed, r)
@@ -344,7 +375,10 @@ def run_simulation(config, keep_replicates=False):
         mean = np.where(defined, mean + delta / count, mean)
         m2 = np.where(defined, m2 + delta * (values - mean), m2)
     target = config.model.gamma1
-    names = (*config.estimators, *(KERNEL_COLUMN_PREFIX + k for k in config.kernels))
+    names = (
+        *config.estimators,
+        *(KERNEL_COLUMN_PREFIX + kern.name for kern in config._kernel_objects()),
+    )
     cells = {
         name: tuple(_aggregate(*cell, target) for cell in zip(*stats))
         for name, *stats in zip(names, count.tolist(), mean.tolist(), m2.tolist())
@@ -412,7 +446,8 @@ def normality_check(model, n, k, replications, kernel, master_seed=0, workers=1)
     kernel estimator at the single ``k``, and reports the empirical mean
     and variance of sqrt(k) * (estimate - gamma1) next to the limiting
     variance for the model's p.  Choose k small relative to n so the
-    limiting mean is negligible.
+    limiting mean is negligible.  ``kernel`` is a built-in kernel name or a
+    verified kernel, built-in or made by :func:`~censtail.kernels.custom_kernel`.
     """
     kern = builtin_kernel(kernel) if isinstance(kernel, str) else kernel
     config = SimulationConfig(
@@ -421,7 +456,7 @@ def normality_check(model, n, k, replications, kernel, master_seed=0, workers=1)
         replications=replications,
         k_values=(int(k),),
         estimators=(),
-        kernels=(kern.name,),
+        kernels=(kern,),
         master_seed=master_seed,
         workers=workers,
     )

@@ -2,6 +2,9 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -264,3 +267,38 @@ class TestCheckKernels:
 
     def test_unknown_kernel_is_usage_error(self):
         assert main(["check-kernels", "--kernels", "gaussian"]) == 1
+
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
+_QUADRATURE_PROBE = """
+import sys
+import censtail
+from censtail.cli import main
+
+data, path_csv, config, sim_csv = sys.argv[1:]
+assert main(["estimate", "--input", data, "--output", path_csv, "--k-min", "2",
+             "--k-max", "12"]) == 0
+assert main(["simulate", "--config", config, "--output", sim_csv]) == 0
+assert "scipy.integrate" not in sys.modules, "loaded by import, estimate or simulate"
+spec = censtail.MomentSpec(gamma1=1.0, p=1.0)
+print(repr(censtail.asymptotic_variance(censtail.BIWEIGHT, spec)))
+assert "scipy.integrate" in sys.modules
+"""
+
+
+def test_estimate_and_simulate_do_not_load_quadrature(tmp_path):
+    """scipy.integrate is imported on the first moment integral only."""
+    data = tmp_path / "data.csv"
+    write_sample_csv(data, [(1.0 + v * v, int(v % 3 != 0)) for v in range(20)])
+    config = small_sim_config(tmp_path)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(_SRC), env.get("PYTHONPATH"))))
+    result = subprocess.run(
+        [sys.executable, "-c", _QUADRATURE_PROBE, str(data), str(tmp_path / "path.csv"),
+         str(config), str(tmp_path / "sim.csv")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    # 1.875^2 times the integral of (1 - s^2)^4 over (0, 1), which is 128/315
+    assert float(result.stdout.split()[-1]) == pytest.approx(10 / 7, abs=1e-12)

@@ -131,6 +131,13 @@ class TestReadCsv:
         with pytest.raises(EmptySample):
             read_csv(io.StringIO("value,delta\n"))
 
+    @pytest.mark.parametrize("first", ["abc,1", "1.5,abc", "value,1"])
+    def test_malformed_first_row_is_not_a_header(self, first):
+        # a first line is a header only when neither field is a number
+        with pytest.raises(ParseError) as err:
+            read_csv(io.StringIO(first + "\n2.0,0\n"))
+        assert err.value.row == 1
+
     def test_declared_header_consumes_first_line(self):
         # header=True even though the first line looks numeric
         sample = read_csv(io.StringIO("1.0,1\n2.0,0\n"), CsvFormat(header=True))

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from censtail import (
+    BIWEIGHT,
     Burr,
     Frechet,
+    Kernel,
     ModelSpec,
     Pareto,
     RngStream,
     SimulationConfig,
     curve_smoothness,
+    custom_kernel,
     estimate_path,
     normality_check,
     run_simulation,
@@ -251,3 +254,32 @@ class TestNormalityCheck:
         a = normality_check(model, 500, 12, 50, "biweight", master_seed=2)
         b = normality_check(model, 500, 12, 50, "biweight", master_seed=2)
         assert a == b
+
+    def test_custom_kernel_matches_builtin(self):
+        # biweight's formulas without its polynomial coefficients, so the
+        # engine evaluates it one k at a time
+        custom = custom_kernel(
+            "custom_biweight",
+            k=lambda s: 1.875 * (1.0 - s**2) ** 2,
+            g_prime=lambda s: 1.875 * (1.0 - s**2) * (1.0 - 5.0 * s**2),
+            g_second=lambda s: 1.875 * (20.0 * s**3 - 12.0 * s),
+        )
+        model = ModelSpec(loss=Burr(0.5, 1.0), censor=Frechet(4.0))
+        got = normality_check(model, 800, 60, 40, custom, master_seed=4)
+        want = normality_check(model, 800, 60, 40, "biweight", master_seed=4)
+        assert got.kernel_name == "custom_biweight"
+        assert (got.n, got.k, got.replications, got.defined_count) == (
+            want.n, want.k, want.replications, want.defined_count)
+        for field in ("gamma1", "p", "empirical_mean", "empirical_variance",
+                      "theoretical_variance"):
+            assert abs(getattr(got, field) - getattr(want, field)) <= 1e-12, field
+
+    def test_builtin_kernel_object_is_stored_by_name(self):
+        config = small_config(kernels=(BIWEIGHT, "k3"))
+        assert config.kernels == ("biweight", "triweight")
+
+    def test_unverified_kernel_is_config_error(self):
+        raw = Kernel("raw", k=np.ones_like, g_prime=np.ones_like, g_second=np.zeros_like)
+        with pytest.raises(ConfigError) as err:
+            normality_check(ModelSpec(loss=Pareto(0.5)), 200, 10, 5, raw)
+        assert err.value.field == "kernels"

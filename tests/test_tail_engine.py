@@ -1,19 +1,25 @@
-"""Differential test: the tail engine against the slow per-estimator oracle.
+"""Differential tests: the tail engine against the slow per-estimator oracle.
 
-Every comparison is exact (``==``), cell for cell, including which cells
-are undefined and which error each scalar estimator raises.
+The engine reads every k off suffix sums, so it adds in another order than
+the oracle.  Exact (``==``) are p_hat, which sums integers, the pattern of
+undefined cells, the error each scalar estimator raises, mns against the
+indicator-kernel row, and every path cell against its scalar estimator.
+Every other cell agrees with the oracle to ``TOL`` absolute.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from censtail import (
     BIWEIGHT,
     INDICATOR,
     TRIWEIGHT,
     CensoredSample,
+    custom_kernel,
     efg,
     estimate_path,
     hill,
@@ -26,11 +32,21 @@ from censtail import (
     worms,
 )
 from censtail.errors import DegenerateP, ZeroSurvivalAtThreshold
-from censtail.estimators import ESTIMATOR_NAMES, _tail_path
+from censtail.estimators import ESTIMATOR_NAMES, _suffix_sums, _tail_path
 from censtail.survival import _survival_at_order_stats
 from reference_impl import _TailArrays
 
-KERNELS = (INDICATOR, BIWEIGHT, TRIWEIGHT)
+TOL = 1e-12
+
+# biweight's formulas without its polynomial coefficients: evaluated per k
+CUSTOM_BIWEIGHT = custom_kernel(
+    "custom_biweight",
+    k=lambda s: 1.875 * (1.0 - s**2) ** 2,
+    g_prime=lambda s: 1.875 * (1.0 - s**2) * (1.0 - 5.0 * s**2),
+    g_second=lambda s: 1.875 * (20.0 * s**3 - 12.0 * s),
+)
+KERNELS = (INDICATOR, BIWEIGHT, TRIWEIGHT, CUSTOM_BIWEIGHT)
+COLUMNS = (*ESTIMATOR_NAMES, *("kernel_" + kern.name for kern in KERNELS))
 SCALARS = {"hill": hill, "p_hat": p_hat, "efg": efg, "worms": worms, "mns": mns}
 SAMPLE_COUNT = 240
 
@@ -56,13 +72,34 @@ def _samples():
         yield tie_heavy, sort_with_concomitants(CensoredSample(z, delta))
 
 
-def _reference(ref, name, k):
+def _reference(ref, column, k):
     """Oracle value, or the error type it raises."""
-    fn = getattr(ref, name)
     try:
-        return fn(k)
+        if column.startswith("kernel_"):
+            return ref.kernel(k, KERNELS[COLUMNS.index(column) - len(ESTIMATOR_NAMES)])
+        return getattr(ref, column)(k)
     except (DegenerateP, ZeroSurvivalAtThreshold) as exc:
         return type(exc)
+
+
+def _scalar(column, sample, k):
+    """Scalar estimator value, or the error type it raises."""
+    try:
+        if column.startswith("kernel_"):
+            kern = KERNELS[COLUMNS.index(column) - len(ESTIMATOR_NAMES)]
+            return kernel_estimator(sample, k, kern)
+        return SCALARS[column](sample, k)
+    except (DegenerateP, ZeroSurvivalAtThreshold) as exc:
+        return type(exc)
+
+
+def _assert_cell(column, k, got, expected):
+    if isinstance(expected, type):
+        assert got is None, (column, k)
+    elif column == "p_hat":
+        assert got == expected, (column, k)
+    else:
+        assert abs(got - expected) <= TOL, (column, k, got, expected)
 
 
 def _scalar_ks(n, undefined_ks, rng):
@@ -74,7 +111,7 @@ def _scalar_ks(n, undefined_ks, rng):
     return sorted({1, n - 1, *ends, *rng.integers(1, n, size=2).tolist()})
 
 
-def test_engine_matches_reference_exactly():
+def test_engine_matches_reference():
     rng = np.random.default_rng(7)
     seen = {"tie_heavy": 0, DegenerateP: 0, ZeroSurvivalAtThreshold: 0, "cells": 0}
     for tie_heavy, sample in _samples():
@@ -88,38 +125,123 @@ def test_engine_matches_reference_exactly():
         ks = list(range(1, n))
         rows = _tail_path(sample, ks, ESTIMATOR_NAMES, KERNELS)
         path = estimate_path(sample, ks, ESTIMATOR_NAMES, KERNELS)
-        columns = [*ESTIMATOR_NAMES, *("kernel_" + kern.name for kern in KERNELS)]
         undefined_ks = set()
-        for row, column in zip(rows, columns):
+        for row, column in zip(rows, COLUMNS):
             for j, k in enumerate(ks):
-                if column.startswith("kernel_"):
-                    kern = KERNELS[columns.index(column) - len(ESTIMATOR_NAMES)]
-                    expected = ref.kernel(k, kern)
-                else:
-                    expected = _reference(ref, column, k)
+                expected = _reference(ref, column, k)
                 got = path.column(column)[j]
+                assert (got is None) == math.isnan(row[j]) and (got is None or got == row[j])
                 if isinstance(expected, type):
                     seen[expected] += 1
                     undefined_ks.add(k)
-                    assert math.isnan(row[j]) and got is None, (column, k)
-                else:
-                    assert row[j] == expected and got == expected, (column, k)
+                _assert_cell(column, k, got, expected)
                 seen["cells"] += 1
         assert np.array_equal(rows[ESTIMATOR_NAMES.index("mns")], rows[len(ESTIMATOR_NAMES)])
 
         for k in _scalar_ks(n, undefined_ks, rng):
-            for name, fn in SCALARS.items():
-                expected = _reference(ref, name, k)
+            j = k - 1
+            for column in COLUMNS:
+                expected = _reference(ref, column, k)
+                got = _scalar(column, sample, k)
                 if isinstance(expected, type):
-                    with pytest.raises(expected):
-                        fn(sample, k)
+                    assert got is expected, (column, k)
+                    assert path.column(column)[j] is None
                 else:
-                    assert fn(sample, k) == expected, (name, k)
-            for kern in KERNELS:
-                assert kernel_estimator(sample, k, kern) == ref.kernel(k, kern)
+                    assert got == path.column(column)[j], (column, k)
         assert p_hat(sample, n) == ref.p_hat(n)
         assert _tail_path(sample, [n], ("p_hat",))[0, 0] == ref.p_hat(n)
 
     assert seen["tie_heavy"] >= SAMPLE_COUNT // 2
     assert seen[DegenerateP] > 0 and seen[ZeroSurvivalAtThreshold] > 0
     assert seen["cells"] > 10_000
+
+
+def test_large_tie_heavy_sample_matches_reference():
+    """n = 2e5 with heavy ties: the suffix sums run over 2e4 order
+    statistics, where a cancelling formulation would lose digits."""
+    rng = np.random.default_rng(11)
+    n = 200_000
+    z = np.round(rng.pareto(1.5, n) + 1.0, 2)
+    delta = (rng.random(n) < 0.7).astype(int)
+    sample = sort_with_concomitants(CensoredSample(z, delta))
+    ks = list(range(400, n // 10 + 1, 400))
+    assert len(ks) == 50
+    columns = (*ESTIMATOR_NAMES, "kernel_biweight", "kernel_triweight")
+    path = estimate_path(sample, ks, ESTIMATOR_NAMES, (BIWEIGHT, TRIWEIGHT))
+    ref = _TailArrays(sample)
+    for column in columns:
+        for j, k in enumerate(ks):
+            _assert_cell(column, k, path.column(column)[j], _reference(ref, column, k))
+
+
+def test_edge_cases():
+    sample = sort_with_concomitants(
+        CensoredSample(np.array([3.0, 1.0, 2.0, 2.0, 5.0]), np.array([1, 0, 1, 0, 0]))
+    )
+    ref = _TailArrays(sample)
+    for k in (sample.n, sample.n - 1):
+        assert p_hat(sample, k) == ref.p_hat(k)
+    assert p_hat(sample, 5) == 2 / 5 and p_hat(sample, 4) == 2 / 4
+    assert _tail_path(sample, [4, 5], ("p_hat",)).tolist() == [[0.5, 0.4]]
+
+    pair = sort_with_concomitants(CensoredSample(np.array([2.0, 1.0]), np.array([0, 1])))
+    assert p_hat(pair, 2) == 0.5 and p_hat(pair, 1) == 0.0
+    assert hill(pair, 1) == math.log(2.0)
+    with pytest.raises(DegenerateP):
+        efg(pair, 1)
+    rows = _tail_path(pair, [1], ESTIMATOR_NAMES, KERNELS)
+    assert math.isnan(rows[ESTIMATOR_NAMES.index("efg"), 0])
+    assert rows[ESTIMATOR_NAMES.index("mns"), 0] == 0.0  # the top one is censored
+
+    empty = estimate_path(sample, [], ESTIMATOR_NAMES, KERNELS)
+    assert empty.k_values == () and set(empty.estimates.values()) == {()}
+
+
+def test_suffix_sums():
+    x = np.arange(1, 601, dtype=float)
+    sums = _suffix_sums(np.stack([x, 2 * x]))
+    expected = np.concatenate((np.cumsum(x[::-1])[::-1], [0.0]))
+    assert np.array_equal(sums, np.stack([expected, 2 * expected]))
+    # a suffix sum does not depend on how far down the array reaches
+    assert np.array_equal(_suffix_sums(x[37:]), sums[0, 37:])
+    assert _suffix_sums(np.array([3], dtype=np.int64)).tolist() == [3, 0]
+
+
+@pytest.mark.parametrize("kernel", (INDICATOR, BIWEIGHT, TRIWEIGHT), ids=lambda k: k.name)
+def test_builtin_coefficients_match_g_prime(kernel):
+    s = np.linspace(0.0, 1.0, 1001)
+    poly = np.polynomial.polynomial.polyval(s, kernel.g_prime_coefficients)
+    assert np.allclose(poly, kernel.g_prime(s), rtol=0, atol=1e-13)
+    assert CUSTOM_BIWEIGHT.g_prime_coefficients is None
+
+
+@st.composite
+def _sorted_samples(draw):
+    n = draw(st.integers(2, 60))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    z = rng.pareto(draw(st.floats(0.5, 3.0)), n) + 1.0
+    if draw(st.booleans()):
+        z = np.round(z, draw(st.integers(0, 1)))
+    delta = (rng.random(n) >= draw(st.floats(0.0, 0.9))).astype(int)
+    return z, delta
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sorted_samples(), st.floats(1e-3, 1e3))
+def test_scale_invariance_and_scalar_agreement(data, scale):
+    z, delta = data
+    sample = sort_with_concomitants(CensoredSample(z, delta))
+    scaled = sort_with_concomitants(CensoredSample(z * scale, delta))
+    ks = list(range(1, sample.n))
+    path = estimate_path(sample, ks, ESTIMATOR_NAMES, KERNELS)
+    scaled_path = estimate_path(scaled, ks, ESTIMATOR_NAMES, KERNELS)
+    for column in COLUMNS:
+        for j, k in enumerate(ks):
+            got = path.column(column)[j]
+            other = scaled_path.column(column)[j]
+            assert (got is None) == (other is None)
+            if got is not None:
+                assert abs(got - other) <= 1e-10, (column, k)
+            scalar = _scalar(column, sample, k)
+            assert scalar == got if got is not None else isinstance(scalar, type)
