@@ -6,12 +6,15 @@ threshold order statistic (the (n-k)-th from below) carry the information;
 k trades bias (large k) against variance (small k).
 
 Every entry point runs the same engine, :func:`_tail_path`.  Its cost for a
-whole k grid is one O(n) pass for the Nelson-Aalen and Kaplan-Meier survival
-at the order statistics, then O(k_max) vectorised suffix sums over the top
-order statistics, gathered at the threshold of each k.  The built-in kernels
-enter through the polynomial coefficients of g'; a custom kernel has no
-such form and costs O(k) per k of the grid.  ``mns`` is the kernel
-estimator with the indicator kernel.
+whole k grid is an O(n) selection of the top k_max + 1 order statistics (a
+slice, when the sample is already sorted), a sort of that top slice, then
+O(k_max) vectorised suffix sums over it, gathered at the threshold of each
+k; the Nelson-Aalen and Kaplan-Meier ratios come from the hazards inside
+the slice.  The simulator hands its unsorted samples straight to the
+engine, so it never sorts a whole sample.  The built-in kernels enter
+through the polynomial coefficients of g'; a custom kernel has no such form
+and costs O(k) per k of the grid.  ``mns`` is the kernel estimator with the
+indicator kernel.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from .errors import (
     ZeroSurvivalAtThreshold,
 )
 from .kernels import INDICATOR, Kernel
-from .samples import Table
-from .survival import _survival_at_order_stats
+from .samples import SortedCensoredSample, Table
+from .survival import _tie_blocks
 
 ESTIMATOR_NAMES = ("hill", "p_hat", "efg", "worms", "mns")
 
@@ -77,6 +80,47 @@ def _suffix_sums(x):
     return np.concatenate((sums, np.zeros((*lead, 1), x.dtype)), axis=-1)
 
 
+def _top_view(sample, lo):
+    """The order statistics from the start of the tie block at sorted
+    position ``lo`` up to the maximum, with their indicators: a slice of a
+    :class:`SortedCensoredSample`, and for an unsorted sample the values at
+    or above the ``lo``-th smallest, found by selection, then sorted.  The
+    sort is stable, so the order is exactly the one of
+    :func:`~censtail.samples.sort_with_concomitants`."""
+    z, delta = sample.z, sample.delta
+    if isinstance(sample, SortedCensoredSample):
+        start = np.searchsorted(z, z[lo])
+        return z[start:], delta[start:]
+    top = z >= np.partition(z, lo)[lo]
+    z, delta = z[top], delta[top]
+    order = np.lexsort((-delta, z))
+    return z[order], delta[order]
+
+
+def _view_survival(z, hazard):
+    """Nelson-Aalen and Kaplan-Meier survival at each order statistic of a
+    top view, each up to a constant factor.
+
+    ``hazard`` is delta / i with i the rank from the top.  Nelson-Aalen at
+    z is exp(-H) with H the hazards of the tie blocks strictly below z, so
+    it is proportional to exp of the hazards from z's block upwards;
+    Kaplan-Meier multiplies the factors 1 - hazard of the blocks at or
+    below z, so it is proportional to exp of minus the log factors above
+    z's block.  Both sums run from the top (:func:`_suffix_sums`), which
+    makes every value independent of how far down the view reaches.  The
+    zero factor of an uncensored maximum is left out of the sums and
+    zeroes the top block instead.
+    """
+    start, end = _tie_blocks(z)
+    log_factor = np.append(np.log1p(-hazard[:-1]), 0.0)
+    na_sums, km_sums = _suffix_sums(np.stack((hazard, log_factor)))
+    km = np.exp(-km_sums[end])
+    if hazard[-1]:
+        km[-1] = 0.0
+    size = end - start
+    return np.repeat(np.exp(na_sums[start]), size), np.repeat(km, size)
+
+
 def _tail_path(sample, k_list, names=(), kernels=()):
     """The tail engine behind every estimator entry point.
 
@@ -86,10 +130,12 @@ def _tail_path(sample, k_list, names=(), kernels=()):
     NaN where a cell is undefined: ``efg`` when the top k are all censored,
     ``worms`` when the Kaplan-Meier survival at the threshold is zero.
     ``mns`` is the indicator-kernel row.  k = n is meaningful for p_hat only.
+    ``sample`` is a :class:`SortedCensoredSample` or an unsorted
+    :class:`~censtail.samples.CensoredSample`; both give the same values.
 
-    Only the top k_max + 1 order statistics enter, and every cell is read
-    off suffix sums over them at the threshold index t = n - k - 1.  With
-    D_i = log Z_{i+1} - log Z_i and the sum over i >= t:
+    Only the top k_max + 1 order statistics enter (:func:`_top_view`), and
+    every cell is read off suffix sums over them at the threshold index t
+    of each k.  With D_i = log Z_{i+1} - log Z_i and the sum over i >= t:
 
     - hill(k) = sum of D_i * (n - 1 - i), divided by k;
     - p_hat(k) = the number of uncensored among the top k, divided by k;
@@ -101,21 +147,20 @@ def _tail_path(sample, k_list, names=(), kernels=()):
 
     These are the defining sums of log(Z_l / Z_t) rearranged by summation
     by parts, so every term is nonnegative and no two large sums cancel.
-    NA is divided by a power of two near its value at the lowest threshold,
-    which scales exactly and keeps NA^(m+1) in range.  As the sums run from
-    the top down, no cell depends on the rest of the grid: each equals its
-    scalar estimator bit for bit.  Kernels without ``g_prime_coefficients``
-    are evaluated one k at a time instead.
+    KM and NA enter only as ratios, so :func:`_view_survival` gives them up
+    to a factor, from the view alone.  As every sum runs from the top down,
+    no cell depends on the rest of the grid: each equals its scalar
+    estimator bit for bit.  Kernels without ``g_prime_coefficients`` are
+    evaluated one k at a time instead.
     """
     n = sample.n
     k = np.asarray(k_list, dtype=np.int64)
-    lo = max(n - 1 - int(k.max(initial=1)), 0)  # the lowest threshold of the grid
-    t = n - 1 - k - lo  # threshold indices into the top order statistics
-    delta = sample.delta[lo:]
-    logz = np.log(sample.z[lo:])
+    z, delta = _top_view(sample, max(n - 1 - int(k.max(initial=1)), 0))
+    t = z.size - 1 - k  # threshold indices into the view
+    logz = np.log(z)
     spacing = np.diff(logz)
-    above = np.arange(delta.size - 1, 0, -1)  # order statistics above each spacing
-    na, km = (arr[lo:] for arr in _survival_at_order_stats(sample))
+    above = np.arange(z.size - 1, 0, -1)  # order statistics above each spacing
+    hazard = delta / np.arange(z.size, 0, -1)  # delta / i, i = rank from the top
     wanted = set(names)
     values = {}
     if wanted & {"hill", "efg"}:
@@ -126,15 +171,16 @@ def _tail_path(sample, k_list, names=(), kernels=()):
         p = values["p_hat"]
         values["efg"] = np.divide(values["hill"], p, out=np.full(p.shape, np.nan),
                                   where=p != 0)
+    entries = [INDICATOR if name == "mns" else name for name in names] + list(kernels)
+    kerns = {e for e in entries if isinstance(e, Kernel)}
+    if "worms" in wanted or kerns:
+        na, km = _view_survival(z, hazard)
     if "worms" in wanted:
         km_t = km[t]
         values["worms"] = np.divide(_suffix_sums(km[:-1] * spacing)[t], km_t,
                                     out=np.full(km_t.shape, np.nan), where=km_t != 0)
-    entries = [INDICATOR if name == "mns" else name for name in names] + list(kernels)
-    kerns = {e for e in entries if isinstance(e, Kernel)}
     if kerns:
-        weight = delta / (n - lo - np.arange(delta.size))  # delta / i, i = rank from the top
-        values.update(_kernel_rows(kerns, t, weight, logz, spacing, na))
+        values.update(_kernel_rows(kerns, t, hazard, logz, spacing, na))
     rows = [values[e] for e in entries]
     return np.array(rows, dtype=float).reshape(len(rows), k.size)
 
@@ -146,10 +192,9 @@ def _kernel_rows(kernels, t, weight, logz, spacing, na):
     powers = sorted({m + 1 for kern in poly
                      for m, c in enumerate(kern.g_prime_coefficients) if c})
     if powers:
-        scaled_na = np.ldexp(na, -np.frexp(na[0])[1])
-        na_pow = [None, scaled_na]
+        na_pow = [None, na]
         while len(na_pow) <= powers[-1]:
-            na_pow.append(na_pow[-1] * scaled_na)
+            na_pow.append(na_pow[-1] * na)
         weighted = _suffix_sums(np.stack([weight * na_pow[p] for p in powers]))
         sums = _suffix_sums(spacing * weighted[:, 1:-1])[:, t]
         ratio_sums = {p: s / na_pow[p][t] for p, s in zip(powers, sums)}

@@ -36,10 +36,14 @@ def _validate_into(sample, ordered=False):
         )
     if ordered and np.any(np.diff(z) < 0):
         raise ValueError("order statistics must be nondecreasing")
-    if not np.isin(delta_raw, (0, 1)).all():
+    if not ((delta_raw == 0) | (delta_raw == 1)).all():
         raise InvalidIndicator("censoring indicators must be 0 or 1")
+    _store(sample, z, delta_raw.astype(np.int8))
+
+
+def _store(sample, z, delta):
     object.__setattr__(sample, "z", _freeze(z))
-    object.__setattr__(sample, "delta", _freeze(delta_raw.astype(np.int8)))
+    object.__setattr__(sample, "delta", _freeze(delta))
 
 
 @dataclass(frozen=True)
@@ -114,7 +118,9 @@ def sort_with_concomitants(sample):
     SortedCensoredSample
     """
     order = np.lexsort((-sample.delta, sample.z))
-    return SortedCensoredSample(sample.z[order], sample.delta[order])
+    out = object.__new__(SortedCensoredSample)  # validated, and ordered by construction
+    _store(out, sample.z[order], sample.delta[order])
+    return out
 
 
 # ---------------------------------------------------------------------------

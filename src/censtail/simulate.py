@@ -25,7 +25,7 @@ from .kernels import (
     builtin_kernel,
 )
 from .models import Burr, Frechet, ModelSpec, Pareto, RngStream, sample_censored
-from .samples import Table, sort_with_concomitants
+from .samples import Table
 
 CONFIG_SCHEMA = "censtail-sim-config/1"
 RESULT_SCHEMA = "censtail-sim-result/1"
@@ -305,10 +305,7 @@ def _replicate_paths(config, r_start, r_stop):
     kernels = config._kernel_objects()
     out = []
     for r in range(r_start, r_stop):
-        stream = RngStream(config.master_seed, r)
-        sample = sort_with_concomitants(
-            sample_censored(config.model, config.n, stream)
-        )
+        sample = sample_censored(config.model, config.n, RngStream(config.master_seed, r))
         out.append(_tail_path(sample, config.k_values, config.estimators, kernels))
     return np.stack(out)
 

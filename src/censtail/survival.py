@@ -84,11 +84,10 @@ class StepCurve:
         return Table(("z", "survival"), rows)
 
 
-def _tie_blocks(sample):
-    """Unique observed values and, for each, one past the last index of its
-    tie block in the sorted sample."""
-    uniq, start = np.unique(sample.z, return_index=True)
-    return uniq, np.concatenate((start[1:], [sample.n]))
+def _tie_blocks(z):
+    """Start and one-past-end index of each tie block of the sorted values z."""
+    start = np.flatnonzero(np.concatenate(([True], z[1:] != z[:-1])))
+    return start, np.append(start[1:], z.size)
 
 
 def _km_after_blocks(sample, end):
@@ -109,20 +108,6 @@ def _na_after_blocks(sample, end):
     return np.exp(-np.cumsum(hazard)[end - 1])
 
 
-def _survival_at_order_stats(sample):
-    """Nelson-Aalen and Kaplan-Meier survival at every order statistic.
-
-    Equal to ``nelson_aalen_curve(sample).survival(sample.z)`` and
-    ``kaplan_meier_curve(sample).survival(sample.z)`` without building the
-    curves: Nelson-Aalen at z covers the tie blocks strictly below z,
-    Kaplan-Meier those at or below z.
-    """
-    uniq, end = _tie_blocks(sample)
-    block = np.searchsorted(uniq, sample.z)
-    na = np.concatenate(([1.0], _na_after_blocks(sample, end)))[block]
-    return na, _km_after_blocks(sample, end)[block]
-
-
 def _drop_flat_steps(jumps, values):
     before = np.concatenate(([1.0], values[:-1]))
     keep = values < before
@@ -137,9 +122,9 @@ def empirical_H(sample):
     ``survival_before`` at the i-th order statistic equals (n - i + 1) / n.
     """
     n = sample.n
-    uniq, end = _tie_blocks(sample)
+    start, end = _tie_blocks(sample.z)
     values = (n - end) / n
-    return StepCurve(uniq, values, include_at_jump=True)
+    return StepCurve(sample.z[start], values, include_at_jump=True)
 
 
 def empirical_H1(sample):
@@ -149,9 +134,9 @@ def empirical_H1(sample):
     accessor gives the sub-distribution itself.
     """
     n = sample.n
-    uniq, end = _tie_blocks(sample)
+    start, end = _tie_blocks(sample.z)
     cum_unc = np.cumsum(sample.delta)[end - 1]
-    jumps, values = _drop_flat_steps(uniq, 1.0 - cum_unc / n)
+    jumps, values = _drop_flat_steps(sample.z[start], 1.0 - cum_unc / n)
     return StepCurve(jumps, values, include_at_jump=True)
 
 
@@ -162,8 +147,8 @@ def kaplan_meier_curve(sample):
     (right-continuous).  The curve reaches exactly zero when and only when
     the largest observation is uncensored.
     """
-    uniq, end = _tie_blocks(sample)
-    jumps, values = _drop_flat_steps(uniq, _km_after_blocks(sample, end))
+    start, end = _tie_blocks(sample.z)
+    jumps, values = _drop_flat_steps(sample.z[start], _km_after_blocks(sample, end))
     return StepCurve(jumps, values, include_at_jump=True)
 
 
@@ -176,8 +161,8 @@ def nelson_aalen_curve(sample):
     strictly positive everywhere; in particular it is safe as a
     denominator, unlike Kaplan-Meier.
     """
-    uniq, end = _tie_blocks(sample)
-    jumps, values = _drop_flat_steps(uniq, _na_after_blocks(sample, end))
+    start, end = _tie_blocks(sample.z)
+    jumps, values = _drop_flat_steps(sample.z[start], _na_after_blocks(sample, end))
     return StepCurve(jumps, values, include_at_jump=False)
 
 

@@ -24,6 +24,14 @@ from censtail.errors import ConfigError, TooFewPoints
 
 CENSORED_MODEL = ModelSpec(loss=Burr(0.4, 0.25), censor=Frechet(3.6))
 
+# biweight's formulas without its polynomial coefficients: evaluated per k
+CUSTOM_BIWEIGHT = custom_kernel(
+    "custom_biweight",
+    k=lambda s: 1.875 * (1.0 - s**2) ** 2,
+    g_prime=lambda s: 1.875 * (1.0 - s**2) * (1.0 - 5.0 * s**2),
+    g_second=lambda s: 1.875 * (20.0 * s**3 - 12.0 * s),
+)
+
 
 def small_config(**overrides):
     base = dict(
@@ -121,6 +129,39 @@ class TestRunSimulation:
                     assert agg.defined_count == 1
                     assert agg.mean == pytest.approx(value, abs=1e-15)
                     assert agg.mse == pytest.approx((value - gamma1) ** 2, abs=1e-12)
+
+    @pytest.mark.parametrize("kernels", [("biweight", "triweight"), (CUSTOM_BIWEIGHT,)],
+                             ids=["builtin", "custom"])
+    def test_replicates_equal_sorted_sample_paths(self, kernels):
+        """The simulator runs the engine on the unsorted sample; every
+        replication equals the documented sort-then-estimate pipeline."""
+        model = ModelSpec(loss=Burr(0.4, 0.25), censor=Frechet(0.8))
+        config = small_config(model=model, replications=15, k_values=(1, 3, 20, 60, 119),
+                              estimators=("hill", "p_hat", "efg", "worms", "mns"),
+                              kernels=kernels)
+        result = run_simulation(config, keep_replicates=True)
+        kerns = config._kernel_objects()
+        for r in range(1, config.replications + 1):
+            sample = sort_with_concomitants(
+                sample_censored(config.model, config.n, RngStream(config.master_seed, r))
+            )
+            path = estimate_path(sample, config.k_values, config.estimators, kerns)
+            for name in result.column_names:
+                got = tuple(per_k[r - 1] for per_k in result.replicate_values[name])
+                assert got == path.column(name), (r, name)
+
+    def test_never_sorts_more_than_the_top_view(self, monkeypatch):
+        lengths = []
+        lexsort = np.lexsort
+
+        def recording_lexsort(keys, *args, **kwargs):
+            lengths.append(len(keys[0]))
+            return lexsort(keys, *args, **kwargs)
+
+        monkeypatch.setattr(np, "lexsort", recording_lexsort)
+        run_simulation(small_config(n=2000, replications=5, k_values=(2, 10)))
+        assert len(lengths) == 5
+        assert max(lengths) <= 11  # k_max + 1 order statistics, no ties
 
     def test_repeat_run_identical(self):
         config = small_config()
@@ -256,14 +297,7 @@ class TestNormalityCheck:
         assert a == b
 
     def test_custom_kernel_matches_builtin(self):
-        # biweight's formulas without its polynomial coefficients, so the
-        # engine evaluates it one k at a time
-        custom = custom_kernel(
-            "custom_biweight",
-            k=lambda s: 1.875 * (1.0 - s**2) ** 2,
-            g_prime=lambda s: 1.875 * (1.0 - s**2) * (1.0 - 5.0 * s**2),
-            g_second=lambda s: 1.875 * (20.0 * s**3 - 12.0 * s),
-        )
+        custom = CUSTOM_BIWEIGHT
         model = ModelSpec(loss=Burr(0.5, 1.0), censor=Frechet(4.0))
         got = normality_check(model, 800, 60, 40, custom, master_seed=4)
         want = normality_check(model, 800, 60, 40, "biweight", master_seed=4)

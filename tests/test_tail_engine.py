@@ -3,8 +3,9 @@
 The engine reads every k off suffix sums, so it adds in another order than
 the oracle.  Exact (``==``) are p_hat, which sums integers, the pattern of
 undefined cells, the error each scalar estimator raises, mns against the
-indicator-kernel row, and every path cell against its scalar estimator.
-Every other cell agrees with the oracle to ``TOL`` absolute.
+indicator-kernel row, every path cell against its scalar estimator, and the
+engine on an unsorted sample against the engine on the sorted one.  Every
+other cell agrees with the oracle to ``TOL`` absolute.
 """
 
 import math
@@ -32,8 +33,13 @@ from censtail import (
     worms,
 )
 from censtail.errors import DegenerateP, ZeroSurvivalAtThreshold
-from censtail.estimators import ESTIMATOR_NAMES, _suffix_sums, _tail_path
-from censtail.survival import _survival_at_order_stats
+from censtail.estimators import (
+    ESTIMATOR_NAMES,
+    _suffix_sums,
+    _tail_path,
+    _top_view,
+    _view_survival,
+)
 from reference_impl import _TailArrays
 
 TOL = 1e-12
@@ -118,10 +124,6 @@ def test_engine_matches_reference():
         n = sample.n
         seen["tie_heavy"] += tie_heavy
         ref = _TailArrays(sample)
-        na_at, km_at = _survival_at_order_stats(sample)
-        assert np.array_equal(na_at, nelson_aalen_curve(sample).survival(sample.z))
-        assert np.array_equal(km_at, kaplan_meier_curve(sample).survival(sample.z))
-
         ks = list(range(1, n))
         rows = _tail_path(sample, ks, ESTIMATOR_NAMES, KERNELS)
         path = estimate_path(sample, ks, ESTIMATOR_NAMES, KERNELS)
@@ -154,6 +156,89 @@ def test_engine_matches_reference():
     assert seen["tie_heavy"] >= SAMPLE_COUNT // 2
     assert seen[DegenerateP] > 0 and seen[ZeroSurvivalAtThreshold] > 0
     assert seen["cells"] > 10_000
+
+
+def _unsorted_samples():
+    """Random unsorted samples, each with an ascending grid: every other one
+    tie-heavy; some with a tie block of mixed indicators straddling the
+    lowest threshold n - k_max - 1, a tied uncensored maximum or an
+    all-censored top; k_max is often n - 1, and n is sometimes 2."""
+    rng = np.random.default_rng(4242)
+    for i in range(SAMPLE_COUNT):
+        n = int(rng.choice([2, 3, 5, 8, 20, 50, 120, 400]))
+        z = rng.pareto(rng.uniform(0.5, 3.0), n) + 1.0
+        delta = (rng.random(n) >= rng.uniform(0.0, 0.8)).astype(int)
+        if i % 2 == 1:
+            z = np.round(z, int(rng.integers(0, 2)))
+        k_max = n - 1 if i % 5 == 0 else int(rng.integers(1, n))
+        order = np.argsort(z, kind="stable")
+        lo = n - 1 - k_max
+        if i % 8 in (2, 3, 5):  # straddling the lowest threshold, mixed indicators
+            below, above = int(rng.integers(0, 4)), int(rng.integers(1, 4))
+            block = order[max(lo - below, 0):lo + above + 1]
+            z[block] = z[order[lo]]
+            delta[block] = np.arange(block.size) % 2
+        elif i % 8 == 4:  # tied, uncensored maximum
+            top = order[-int(rng.integers(1, max(2, n // 3) + 1)):]
+            z[top] = z.max()
+            delta[top] = 1
+        elif i % 8 == 6:  # all-censored top
+            delta[order[-int(rng.integers(1, k_max + 1)):]] = 0
+        ks = sorted({k_max, *rng.integers(1, k_max + 1, size=3).tolist()})
+        yield CensoredSample(z, delta), ks
+
+
+def test_unsorted_sample_gives_the_sorted_path():
+    seen = {"straddling": 0, "k = n - 1": 0, "n = 2": 0, DegenerateP: 0,
+            ZeroSurvivalAtThreshold: 0}
+    for raw, ks in _unsorted_samples():
+        sample = sort_with_concomitants(raw)
+        n = sample.n
+        rows = _tail_path(sample, ks, ESTIMATOR_NAMES, KERNELS)
+        assert np.array_equal(_tail_path(raw, ks, ESTIMATOR_NAMES, KERNELS), rows,
+                              equal_nan=True)
+        assert _tail_path(raw, [n], ("p_hat",))[0, 0] == p_hat(sample, n)
+        ref = _TailArrays(sample)
+        for row, column in zip(rows, COLUMNS):
+            for j, k in enumerate(ks):
+                expected = _reference(ref, column, k)
+                if isinstance(expected, type):
+                    seen[expected] += 1
+                _assert_cell(column, k, None if math.isnan(row[j]) else row[j], expected)
+        for column, cell in zip(COLUMNS, rows[:, 0]):
+            scalar = _scalar(column, sample, ks[0])
+            assert isinstance(scalar, type) if math.isnan(cell) else scalar == cell, column
+        lo = n - 1 - ks[-1]
+        tied = sample.z == sample.z[lo]
+        seen["straddling"] += bool(lo > 0 and tied[lo - 1] and tied[lo + 1]
+                                   and 0 < sample.delta[tied].sum() < tied.sum())
+        seen["k = n - 1"] += ks[-1] == n - 1
+        seen["n = 2"] += n == 2
+    assert all(seen.values()), seen
+
+
+def test_view_survival_matches_curve_ratios():
+    """The view's Nelson-Aalen and Kaplan-Meier values, as ratios between
+    any two of its order statistics, are the ratios of the full curves."""
+    for _, sample in _samples():
+        n = sample.n
+        na_curve = nelson_aalen_curve(sample).survival(sample.z)
+        km_curve = kaplan_meier_curve(sample).survival(sample.z)
+        for lo in sorted({0, n // 2, n - 1}):
+            z, delta = _top_view(sample, lo)
+            start = n - z.size
+            assert start <= lo and z[0] == sample.z[lo]
+            assert start == 0 or sample.z[start - 1] < z[0]
+            na, km = _view_survival(z, delta / np.arange(z.size, 0, -1))
+            want_na = na_curve[start:]
+            assert np.allclose(na[None, :] / na[:, None], want_na[None, :] / want_na[:, None],
+                               rtol=1e-13, atol=0)
+            want_km = km_curve[start:]
+            assert np.array_equal(km == 0, want_km == 0)
+            positive = km > 0
+            ratio = km[None, positive] / km[positive, None]
+            want = want_km[None, positive] / want_km[positive, None]
+            assert np.allclose(ratio, want, rtol=1e-13, atol=0)
 
 
 def test_large_tie_heavy_sample_matches_reference():
