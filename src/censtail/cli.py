@@ -27,7 +27,7 @@ from .errors import (
     UnknownKernel,
     ZeroSurvivalAtThreshold,
 )
-from .estimators import ESTIMATOR_NAMES, estimate_path
+from .estimators import ESTIMATOR_NAMES, _repeated, estimate_path
 from .kernels import (
     BUILTIN_KERNEL_NAMES,
     MomentSpec,
@@ -177,6 +177,11 @@ def _cmd_estimate(args):
     if "p_hat" not in estimators:
         estimators = ["p_hat"] + estimators
     kernels = [builtin_kernel(name) for name in _split_list(args.kernels)]
+    for option, names in (("--estimators", estimators),
+                          ("--kernels", [kern.name for kern in kernels])):
+        repeat = _repeated(names)
+        if repeat is not None:
+            raise _UsageError(f"{option} names {repeat!r} twice")
     path = estimate_path(sorted_sample, _k_values(args), estimators, kernels)
     _write_atomic([(args.output, render_csv(path.to_table()))])
     return 0

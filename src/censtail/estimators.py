@@ -48,6 +48,11 @@ def _check_k(k, n, allow_n=False):
     return int(k)
 
 
+def _repeated(names):
+    """The first of ``names`` that an earlier entry already has, or None."""
+    return next((name for j, name in enumerate(names) if name in names[:j]), None)
+
+
 def _check_kernel(kernel):
     if not getattr(kernel, "verified", False):
         raise KernelAxiomViolation(
@@ -356,7 +361,8 @@ def estimate_path(sample, k_values, estimators=ESTIMATOR_NAMES, kernels=()):
     estimators : iterable of str
         Any of "hill", "p_hat", "efg", "worms", "mns".
     kernels : iterable of Kernel
-        Each adds a column named ``kernel_<name>``.
+        Each adds a column named ``kernel_<name>``.  A column name may
+        appear only once.
 
     Returns
     -------
@@ -375,8 +381,11 @@ def estimate_path(sample, k_values, estimators=ESTIMATOR_NAMES, kernels=()):
                 f"unknown estimator {name!r}; choose from {ESTIMATOR_NAMES}"
             )
     kernels = tuple(_check_kernel(kern) for kern in kernels)
-    rows = _tail_path(sample, k_list, names, kernels)
     columns = [*names, *(KERNEL_COLUMN_PREFIX + kern.name for kern in kernels)]
+    repeat = _repeated(columns)
+    if repeat is not None:
+        raise ValueError(f"column {repeat!r} is requested twice")
+    rows = _tail_path(sample, k_list, names, kernels)
     return EstimatePath(
         tuple(k_list),
         {

@@ -19,7 +19,8 @@ def _freeze(arr):
 
 def _validate_into(sample, ordered=False):
     """Check a sample's ``z`` and ``delta`` and store them as frozen float
-    and int8 arrays; ``ordered`` also requires ``z`` to be nondecreasing."""
+    and int8 arrays; ``ordered`` also requires ``z`` to be nondecreasing,
+    with uncensored observations before censored ones at a tie."""
     z = np.asarray(sample.z, dtype=float)
     delta_raw = np.asarray(sample.delta)
     if z.ndim != 1 or delta_raw.ndim != 1:
@@ -34,8 +35,12 @@ def _validate_into(sample, ordered=False):
         raise NonPositiveObservation(
             "all observations must be finite and strictly positive"
         )
-    if ordered and np.any(np.diff(z) < 0):
-        raise ValueError("order statistics must be nondecreasing")
+    if ordered:
+        if np.any(np.diff(z) < 0):
+            raise ValueError("order statistics must be nondecreasing")
+        censored_first = (delta_raw[:-1] == 0) & (delta_raw[1:] == 1)
+        if np.any(censored_first & (z[1:] == z[:-1])):
+            raise ValueError("at a tie, uncensored observations must come first")
     if not ((delta_raw == 0) | (delta_raw == 1)).all():
         raise InvalidIndicator("censoring indicators must be 0 or 1")
     _store(sample, z, delta_raw.astype(np.int8))
@@ -88,7 +93,8 @@ class SortedCensoredSample:
     ``z`` is nondecreasing and ``delta[j]`` is the censoring indicator that
     travelled with the j-th order statistic.  Instances are produced by
     :func:`sort_with_concomitants`; direct construction is allowed for
-    already-sorted data.
+    already-sorted data that follows its tie order (uncensored before
+    censored), which every rank-based hazard relies on.
     """
 
     z: np.ndarray
@@ -143,7 +149,7 @@ class CsvFormat:
 
 def _open_source(source):
     if isinstance(source, (str, os.PathLike)):
-        return open(source, "r", encoding="utf-8", newline=""), True
+        return open(source, "r", encoding="utf-8-sig", newline=""), True
     return source, False
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SimulationError, TooFewPoints, UnknownKernel
-from .estimators import ESTIMATOR_NAMES, KERNEL_COLUMN_PREFIX, _tail_path
+from .estimators import ESTIMATOR_NAMES, KERNEL_COLUMN_PREFIX, _repeated, _tail_path
 from .kernels import (
     BUILTIN_KERNEL_NAMES,
     Kernel,
@@ -29,6 +29,10 @@ from .samples import Table
 
 CONFIG_SCHEMA = "censtail-sim-config/1"
 RESULT_SCHEMA = "censtail-sim-result/1"
+
+# JSON family name -> (distribution class, parameters in constructor order)
+_LOSS_FAMILIES = {"burr": (Burr, ("gamma1", "eta")), "pareto": (Pareto, ("gamma1",))}
+_CENSOR_FAMILIES = {"frechet": (Frechet, ("gamma2",))}
 
 
 @dataclass(frozen=True)
@@ -79,6 +83,13 @@ class SimulationConfig:
                     f"unknown estimator {name!r}", field="estimators"
                 )
         kernels = tuple(_config_kernel(entry) for entry in self.kernels)
+        for field, names in (
+            ("estimators", estimators),
+            ("kernels", [getattr(entry, "name", entry) for entry in kernels]),
+        ):
+            repeat = _repeated(names)
+            if repeat is not None:
+                raise ConfigError(f"{repeat!r} appears twice in {field}", field=field)
         if not 0 <= int(self.master_seed) < 2**64:
             raise ConfigError(
                 "master_seed must be an unsigned 64-bit integer", field="master_seed"
@@ -92,18 +103,12 @@ class SimulationConfig:
         object.__setattr__(self, "kernels", kernels)
 
     def to_json_dict(self):
-        loss = self.model.loss
-        if isinstance(loss, Burr):
-            loss_doc = {"family": "burr", "gamma1": loss.gamma1, "eta": loss.eta}
-        else:
-            loss_doc = {"family": "pareto", "gamma1": loss.gamma1}
-        censor = self.model.censor
-        censor_doc = None if censor is None else {
-            "family": "frechet", "gamma2": censor.gamma2,
-        }
         return {
             "schema": CONFIG_SCHEMA,
-            "model": {"loss": loss_doc, "censor": censor_doc},
+            "model": {
+                "loss": _family_doc(self.model.loss, _LOSS_FAMILIES),
+                "censor": _family_doc(self.model.censor, _CENSOR_FAMILIES),
+            },
             "n": self.n,
             "replications": self.replications,
             "k_values": list(self.k_values),
@@ -184,32 +189,32 @@ def _get(doc, key, typ, path=""):
     return value
 
 
+def _family_doc(dist, families):
+    """The JSON object of a distribution: its family name from ``families``
+    and its parameters; None for no distribution."""
+    for family, (cls, params) in families.items():
+        if isinstance(dist, cls):
+            return {"family": family, **{name: getattr(dist, name) for name in params}}
+    return None
+
+
+def _parse_family(doc, part, families):
+    path = f"model.{part}"
+    family = _get(doc, "family", str, path=path)
+    if family not in families:
+        raise ConfigError(f"unknown {part} family {family!r}", field=f"{path}.family")
+    cls, params = families[family]
+    return cls(*(_get(doc, name, float, path=path) for name in params))
+
+
 def _parse_model(doc):
-    loss_doc = _get(doc, "loss", dict, path="model")
-    family = _get(loss_doc, "family", str, path="model.loss")
-    if family == "burr":
-        loss = Burr(
-            _get(loss_doc, "gamma1", float, path="model.loss"),
-            _get(loss_doc, "eta", float, path="model.loss"),
-        )
-    elif family == "pareto":
-        loss = Pareto(_get(loss_doc, "gamma1", float, path="model.loss"))
-    else:
-        raise ConfigError(
-            f"unknown loss family {family!r}", field="model.loss.family"
-        )
+    loss = _parse_family(_get(doc, "loss", dict, path="model"), "loss", _LOSS_FAMILIES)
     censor_doc = doc.get("censor")
     if censor_doc is None:
-        censor = None
-    else:
-        if not isinstance(censor_doc, dict):
-            raise ConfigError("censor must be an object or null", field="model.censor")
-        family = _get(censor_doc, "family", str, path="model.censor")
-        if family != "frechet":
-            raise ConfigError(
-                f"unknown censor family {family!r}", field="model.censor.family"
-            )
-        censor = Frechet(_get(censor_doc, "gamma2", float, path="model.censor"))
+        return ModelSpec(loss=loss)
+    if not isinstance(censor_doc, dict):
+        raise ConfigError("censor must be an object or null", field="model.censor")
+    censor = _parse_family(censor_doc, "censor", _CENSOR_FAMILIES)
     return ModelSpec(loss=loss, censor=censor)
 
 
@@ -234,7 +239,7 @@ def _parse_k(doc):
 
 @dataclass(frozen=True)
 class CellAggregate:
-    """Streamed summary of one (estimator, k) cell across replications.
+    """Summary of one (estimator, k) cell across replications.
 
     ``defined_count`` plus the number of undefined replications equals the
     total replication count; mean/bias/mse are None when no replication
@@ -266,10 +271,6 @@ class SimulationResult:
     def column_names(self):
         return tuple(self.cells)
 
-    def cell(self, name, k):
-        j = self.config.k_values.index(k)
-        return self.cells[name][j]
-
     def to_table(self):
         rows = []
         for name, aggregates in self.cells.items():
@@ -280,22 +281,12 @@ class SimulationResult:
         )
 
     def to_json_dict(self):
+        table = self.to_table()
         return {
             "schema": RESULT_SCHEMA,
             "config": self.config.to_json_dict(),
             "runtime_seconds": self.runtime_seconds,
-            "results": [
-                {
-                    "estimator": name,
-                    "k": k,
-                    "mean": agg.mean,
-                    "bias": agg.bias,
-                    "mse": agg.mse,
-                    "defined_count": agg.defined_count,
-                }
-                for name, aggregates in self.cells.items()
-                for k, agg in zip(self.config.k_values, aggregates)
-            ],
+            "results": [dict(zip(table.columns, row)) for row in table.rows],
         }
 
 
@@ -327,19 +318,9 @@ def _collect_paths(config):
             pieces = list(
                 pool.map(_replicate_paths, [config] * len(chunks), *zip(*chunks))
             )
-    except SimulationError:
-        raise
     except Exception as exc:
         raise SimulationError(f"simulation replication failed: {exc}") from exc
     return np.concatenate(pieces)
-
-
-def _aggregate(count, mean, m2, target):
-    if count == 0:
-        return CellAggregate(mean=None, bias=None, mse=None, defined_count=0)
-    bias = mean - target
-    mse = m2 / count + bias * bias
-    return CellAggregate(mean=mean, bias=bias, mse=mse, defined_count=count)
 
 
 def run_simulation(config, keep_replicates=False):
@@ -349,8 +330,8 @@ def run_simulation(config, keep_replicates=False):
     ----------
     config : SimulationConfig
     keep_replicates : bool
-        Also return every per-replication estimate, so streamed aggregates
-        can be cross-checked.
+        Also return every per-replication estimate, so the aggregates can be
+        cross-checked.
 
     Returns
     -------
@@ -362,33 +343,28 @@ def run_simulation(config, keep_replicates=False):
     """
     started = time.perf_counter()
     paths = _collect_paths(config)
-    count = np.zeros(paths.shape[1:], dtype=np.int64)
-    mean = np.zeros(paths.shape[1:])
-    m2 = np.zeros(paths.shape[1:])
-    for values in paths:  # Welford's update in replication order, every cell at once
-        defined = ~np.isnan(values)
-        count += defined
-        delta = values - mean
-        mean = np.where(defined, mean + delta / count, mean)
-        m2 = np.where(defined, m2 + delta * (values - mean), m2)
     target = config.model.gamma1
     names = (
         *config.estimators,
         *(KERNEL_COLUMN_PREFIX + kern.name for kern in config._kernel_objects()),
     )
-    cells = {
-        name: tuple(_aggregate(*cell, target) for cell in zip(*stats))
-        for name, *stats in zip(names, count.tolist(), mean.tolist(), m2.tolist())
-    }
-    replicate_values = None
-    if keep_replicates:
-        replicate_values = {
-            name: tuple(
+    cells = {}
+    replicate_values = {} if keep_replicates else None
+    # one (replication x k) column at a time keeps the temporaries small
+    for name, column in zip(names, np.moveaxis(paths, 1, 0)):
+        count = np.count_nonzero(~np.isnan(column), axis=0)
+        divisor = np.maximum(count, 1)
+        mean = np.nansum(column, axis=0) / divisor
+        mse = np.nansum((column - target) ** 2, axis=0) / divisor
+        cells[name] = tuple(
+            CellAggregate(m, m - target, e, c) if c else CellAggregate(None, None, None, 0)
+            for m, e, c in zip(mean.tolist(), mse.tolist(), count.tolist())
+        )
+        if keep_replicates:
+            replicate_values[name] = tuple(
                 tuple(None if math.isnan(v) else v for v in per_k)
                 for per_k in column.T.tolist()
             )
-            for name, column in zip(names, np.moveaxis(paths, 1, 0))
-        }
     runtime = time.perf_counter() - started
     return SimulationResult(
         config=config,

@@ -34,14 +34,11 @@ class StepCurve:
         observations <= z); False means it does not (left-continuous, used
         by Nelson-Aalen, whose product runs over observations strictly
         below z).
-    value_before_first : float
-        Constant value to the left of the first jump, always 1.
     """
 
     jump_points: np.ndarray
     values_after: np.ndarray
     include_at_jump: bool
-    value_before_first: float = 1.0
 
     def __post_init__(self):
         jumps = np.asarray(self.jump_points, dtype=float)
@@ -58,7 +55,7 @@ class StepCurve:
     def _eval(self, z, side):
         z_arr = np.asarray(z, dtype=float)
         idx = np.searchsorted(self.jump_points, z_arr, side=side)
-        table = np.concatenate(([self.value_before_first], self.values_after))
+        table = np.concatenate(([1.0], self.values_after))
         out = table[idx]
         if np.ndim(z) == 0:
             return float(out)

@@ -102,6 +102,17 @@ class TestEstimate:
         ])
         assert code == 2
 
+    def test_repeated_column_is_usage_error(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        out = tmp_path / "out.csv"
+        write_sample_csv(data, [(1, 1), (2, 1), (4, 1), (8, 1)])
+        for option, names in (("--kernels", "biweight,k2"), ("--estimators", "mns,hill,mns")):
+            code = main(["estimate", "--input", str(data), "--output", str(out),
+                         "--k", "2", option, names])
+            assert code == 1
+            assert "twice" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_usage_error_without_k(self, tmp_path):
         data = tmp_path / "data.csv"
         write_sample_csv(data, [(1, 1), (2, 1)])

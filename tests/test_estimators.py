@@ -17,6 +17,8 @@ from censtail import (
     kernel_estimator,
     mns,
     nelson_aalen_curve,
+    builtin_kernel,
+    custom_kernel,
     p_hat,
     sort_with_concomitants,
     worms,
@@ -290,6 +292,20 @@ class TestEstimatePath:
             estimate_path(sample, [5, 10])  # k = n not allowed
         with pytest.raises(ValueError):
             estimate_path(sample, [2], estimators=("nope",))
+
+    def test_rejects_repeated_column(self, rng):
+        sample = make_censored(rng, n=20)
+        named_biweight = custom_kernel(
+            "biweight",
+            k=lambda s: 1.875 * (1.0 - s**2) ** 2,
+            g_prime=lambda s: 1.875 * (1.0 - s**2) * (1.0 - 5.0 * s**2),
+            g_second=lambda s: 1.875 * (20.0 * s**3 - 12.0 * s),
+        )
+        for estimators, kernels in ((("mns", "mns"), (BIWEIGHT, builtin_kernel("k2"))),
+                                    (("mns",), (BIWEIGHT, builtin_kernel("k2"))),
+                                    (("hill",), (BIWEIGHT, named_biweight))):
+            with pytest.raises(ValueError, match="twice"):
+                estimate_path(sample, [2, 5], estimators, kernels)
 
     def test_nan_rejected_in_path(self):
         with pytest.raises(ValueError):

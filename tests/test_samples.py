@@ -8,6 +8,7 @@ from censtail import (
     CsvFormat,
     SortedCensoredSample,
     Table,
+    kaplan_meier_survival,
     read_csv,
     read_table,
     render_csv,
@@ -65,6 +66,17 @@ class TestSorting:
     def test_sorted_sample_rejects_descending(self):
         with pytest.raises(ValueError):
             SortedCensoredSample(np.array([2.0, 1.0]), np.array([1, 1]))
+
+    def test_sorted_sample_rejects_censored_first_at_a_tie(self):
+        # a censored value before an uncensored one at z = 3 would make every
+        # rank-based hazard use the wrong at-risk count
+        z = np.array([1.0, 2.0, 3.0, 3.0, 4.0, 5.0, 6.0])
+        with pytest.raises(ValueError, match="tie"):
+            SortedCensoredSample(z, np.array([1, 1, 0, 1, 1, 0, 1]))
+        direct = SortedCensoredSample(z, np.array([1, 1, 1, 0, 1, 0, 1]))
+        canonical = sort_with_concomitants(CensoredSample(z, np.array([1, 1, 0, 1, 1, 0, 1])))
+        assert direct.delta.tolist() == canonical.delta.tolist()
+        assert kaplan_meier_survival(direct, 3.0) == pytest.approx(4 / 7, abs=1e-15)
 
 
 class TestValidation:
@@ -137,6 +149,13 @@ class TestReadCsv:
         with pytest.raises(ParseError) as err:
             read_csv(io.StringIO(first + "\n2.0,0\n"))
         assert err.value.row == 1
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf1.5,1\n2.0,0\n")
+        assert read_csv(path).pairs() == [(1.5, 1), (2.0, 0)]
+        path.write_bytes(b"\xef\xbb\xbfk,hill\n1,0.5\n")
+        assert read_table(path).columns == ("k", "hill")
 
     def test_declared_header_consumes_first_line(self):
         # header=True even though the first line looks numeric

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -25,12 +26,12 @@ from censtail.errors import ConfigError, TooFewPoints
 CENSORED_MODEL = ModelSpec(loss=Burr(0.4, 0.25), censor=Frechet(3.6))
 
 # biweight's formulas without its polynomial coefficients: evaluated per k
-CUSTOM_BIWEIGHT = custom_kernel(
-    "custom_biweight",
+BIWEIGHT_FORMULAS = dict(
     k=lambda s: 1.875 * (1.0 - s**2) ** 2,
     g_prime=lambda s: 1.875 * (1.0 - s**2) * (1.0 - 5.0 * s**2),
     g_second=lambda s: 1.875 * (20.0 * s**3 - 12.0 * s),
 )
+CUSTOM_BIWEIGHT = custom_kernel("custom_biweight", **BIWEIGHT_FORMULAS)
 
 
 def small_config(**overrides):
@@ -79,6 +80,48 @@ class TestConfig:
         config = small_config(model=ModelSpec(loss=Pareto(1.0)), kernels=())
         again = SimulationConfig.from_json_dict(config.to_json_dict())
         assert again == config
+
+    def test_json_round_trip_pareto_without_censoring(self):
+        config = small_config(model=ModelSpec(loss=Pareto(0.7)))
+        doc = config.to_json_dict()
+        assert doc["model"] == {"loss": {"family": "pareto", "gamma1": 0.7}, "censor": None}
+        assert SimulationConfig.from_json_dict(json.loads(json.dumps(doc))) == config
+
+    @pytest.mark.parametrize("part, value, message, field", [
+        ("loss", {"family": "weibull", "gamma1": 0.4},
+         "unknown loss family 'weibull'", "model.loss.family"),
+        ("loss", {"family": "frechet", "gamma2": 0.4},
+         "unknown loss family 'frechet'", "model.loss.family"),
+        ("censor", {"family": "burr", "gamma1": 0.4, "eta": 0.25},
+         "unknown censor family 'burr'", "model.censor.family"),
+        ("censor", {}, "missing field 'model.censor.family'", "model.censor.family"),
+        ("censor", [1], "censor must be an object or null", "model.censor"),
+        ("loss", {"family": "burr", "gamma1": 0.4},
+         "missing field 'model.loss.eta'", "model.loss.eta"),
+        ("censor", {"family": "frechet"},
+         "missing field 'model.censor.gamma2'", "model.censor.gamma2"),
+        ("loss", {"family": "pareto", "gamma1": "0.4"},
+         "field 'model.loss.gamma1' has the wrong type", "model.loss.gamma1"),
+        ("loss", {"family": "pareto", "gamma1": True},
+         "field 'model.loss.gamma1' has the wrong type", "model.loss.gamma1"),
+    ], ids=["unknown-loss", "frechet-loss", "burr-censor", "empty-censor", "list-censor",
+            "missing-eta", "missing-gamma2", "string-gamma1", "bool-gamma1"])
+    def test_malformed_model_reports_message_and_field(self, part, value, message, field):
+        doc = small_config().to_json_dict()
+        doc["model"][part] = value
+        with pytest.raises(ConfigError) as err:
+            SimulationConfig.from_json_dict(doc)
+        assert str(err.value) == message
+        assert err.value.field == field
+
+    def test_repeated_column_is_config_error(self):
+        named_biweight = custom_kernel("biweight", **BIWEIGHT_FORMULAS)
+        for overrides, field in (({"estimators": ("mns", "hill", "mns")}, "estimators"),
+                                 ({"kernels": ("biweight", "k2")}, "kernels"),
+                                 ({"kernels": ("biweight", named_biweight)}, "kernels")):
+            with pytest.raises(ConfigError) as err:
+                small_config(**overrides)
+            assert err.value.field == field
 
     def test_k_grid_expansion(self):
         doc = small_config().to_json_dict()
@@ -205,24 +248,32 @@ class TestRunSimulation:
         assert sizes == [3]  # unknown CPU count: one worker, in-process
 
     def test_streamed_aggregates_match_replicates(self):
-        config = small_config(replications=30)
-        result = run_simulation(config, keep_replicates=True)
-        gamma1 = config.model.gamma1
-        for name in result.column_names:
-            for j in range(len(config.k_values)):
-                values = [
-                    v for v in result.replicate_values[name][j] if v is not None
-                ]
-                agg = result.cells[name][j]
-                assert agg.defined_count == len(values)
-                if values:
-                    assert agg.mean == pytest.approx(np.mean(values), abs=1e-10)
-                    assert agg.bias == pytest.approx(
-                        np.mean(values) - gamma1, abs=1e-10
-                    )
-                    assert agg.mse == pytest.approx(
-                        np.mean((np.array(values) - gamma1) ** 2), abs=1e-10
-                    )
+        heavy = SimulationConfig(  # p = 0.6: some all-censored tops at k = 1, 2
+            model=ModelSpec(loss=Burr(0.4, 0.25), censor=Frechet(0.6)), n=60,
+            replications=40, k_values=(1, 2), estimators=("efg", "mns"), kernels=(),
+            master_seed=17,
+        )
+        undefined = 0
+        for config in (small_config(replications=30), heavy):
+            result = run_simulation(config, keep_replicates=True)
+            gamma1 = config.model.gamma1
+            for name in result.column_names:
+                for j in range(len(config.k_values)):
+                    values = [
+                        v for v in result.replicate_values[name][j] if v is not None
+                    ]
+                    agg = result.cells[name][j]
+                    assert agg.defined_count == len(values)
+                    undefined += config.replications - len(values)
+                    if not values:
+                        assert agg.mean is agg.bias is agg.mse is None
+                        continue
+                    mean = math.fsum(values) / len(values)
+                    mse = math.fsum((v - gamma1) ** 2 for v in values) / len(values)
+                    assert abs(agg.mean - mean) <= 1e-12
+                    assert abs(agg.bias - (mean - gamma1)) <= 1e-12
+                    assert abs(agg.mse - mse) <= 1e-12
+        assert undefined > 0  # the undefined efg cells actually occurred
 
     def test_defined_plus_undefined_counts(self):
         # heavy censoring at k=1 leaves some replications with all-censored tops
