@@ -288,7 +288,8 @@ def kernel_estimator(sample, k, kernel):
 
     Parameters
     ----------
-    sample : SortedCensoredSample
+    sample : SortedCensoredSample or CensoredSample
+        An unsorted sample gives the same values as its sorted copy.
     k : int
         Number of top order statistics, 1 <= k <= n-1.
     kernel : Kernel
@@ -355,7 +356,8 @@ def estimate_path(sample, k_values, estimators=ESTIMATOR_NAMES, kernels=()):
 
     Parameters
     ----------
-    sample : SortedCensoredSample
+    sample : SortedCensoredSample or CensoredSample
+        An unsorted sample gives the same values as its sorted copy.
     k_values : iterable of int
         Strictly ascending, all within [1, n-1].
     estimators : iterable of str

@@ -9,6 +9,7 @@ mean and a variance that are weighted integrals of K and K^2 computed by
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,13 +49,12 @@ class Kernel:
         d(s*K(s))/ds on (0, 1); vectorized.
     g_second : callable
         Second derivative of s*K(s); used for diagnostics only.
-    verified : bool
-        True once the kernel axioms have been checked; the estimators
-        refuse unverified kernels.  Build custom kernels through
-        :func:`custom_kernel`, which verifies and sets this flag.
 
     Attributes
     ----------
+    verified : bool
+        True for the built-ins and for kernels from :func:`custom_kernel`,
+        which checks the axioms; the estimators refuse unverified kernels.
     g_prime_coefficients : tuple of float or None
         Coefficients c_0, c_1, ... of g'(s) = sum of c_m s^m on [0, 1] for
         the built-in kernels, from which the estimators read every k of a
@@ -62,14 +62,15 @@ class Kernel:
         evaluated one k at a time.
     """
 
+    verified = False
     g_prime_coefficients = None
+    _coefficients = None  # a_0, a_1, ... of K(s) = sum of a_m s^m, built-ins only
 
-    def __init__(self, name, k, g_prime, g_second, verified=False):
+    def __init__(self, name, k, g_prime, g_second):
         self.name = name
         self._k = k
         self._g_prime = g_prime
         self._g_second = g_second
-        self.verified = verified
 
     def __call__(self, s):
         return _masked(self._k, s, hi_open=True)
@@ -87,34 +88,28 @@ class Kernel:
         return f"Kernel({self.name!r})"
 
 
-INDICATOR = Kernel(
-    "indicator",
-    k=lambda s: np.ones_like(s),
-    g_prime=lambda s: np.ones_like(s),
-    g_second=lambda s: np.zeros_like(s),
-    verified=True,
-)
+def _horner(coefficients):
+    """s -> sum of c_m s^m over ``coefficients`` c_0, c_1, ..., by Horner's rule."""
+    highest_first = np.array(coefficients[::-1], dtype=float)
+    return lambda s: np.polyval(highest_first, s)
 
-BIWEIGHT = Kernel(
-    "biweight",
-    k=lambda s: 1.875 * (1.0 - s**2) ** 2,
-    g_prime=lambda s: 1.875 * (1.0 - s**2) * (1.0 - 5.0 * s**2),
-    g_second=lambda s: 1.875 * (20.0 * s**3 - 12.0 * s),
-    verified=True,
-)
 
-TRIWEIGHT = Kernel(
-    "triweight",
-    k=lambda s: 2.1875 * (1.0 - s**2) ** 3,
-    g_prime=lambda s: 2.1875 * (1.0 - s**2) ** 2 * (1.0 - 7.0 * s**2),
-    g_second=lambda s: 2.1875 * (-18.0 * s + 60.0 * s**3 - 42.0 * s**5),
-    verified=True,
-)
+def _builtin(name, coefficients):
+    """The verified kernel K(s) = sum of a_m s^m on [0, 1).  g = s*K puts a_m
+    at power m + 1, so g' has (m+1) a_m at power m, g'' m (m+1) a_m at m - 1."""
+    g_prime = tuple((m + 1) * a for m, a in enumerate(coefficients))
+    g_second = tuple(m * c for m, c in enumerate(g_prime))[1:]
+    kernel = Kernel(name, _horner(coefficients), _horner(g_prime), _horner(g_second))
+    kernel._coefficients = coefficients
+    kernel.g_prime_coefficients = g_prime
+    kernel.verified = True
+    return kernel
 
-# g' expanded in powers of s; every product below is exact in binary
-INDICATOR.g_prime_coefficients = (1.0,)
-BIWEIGHT.g_prime_coefficients = tuple(1.875 * c for c in (1, 0, -6, 0, 5))
-TRIWEIGHT.g_prime_coefficients = tuple(2.1875 * c for c in (1, 0, -9, 0, 15, 0, -7))
+
+# K's power coefficients; every product below is exact in binary
+INDICATOR = _builtin("indicator", (1.0,))
+BIWEIGHT = _builtin("biweight", tuple(1.875 * a for a in (1, 0, -2, 0, 1)))
+TRIWEIGHT = _builtin("triweight", tuple(2.1875 * a for a in (1, 0, -3, 0, 3, 0, -1)))
 
 _BUILTINS = {
     "indicator": INDICATOR,
@@ -142,8 +137,9 @@ def builtin_kernel(name):
                             f"built-ins are {', '.join(BUILTIN_KERNEL_NAMES)}") from None
 
 
-def custom_kernel(name, k, g_prime, g_second, tol=1e-8):
-    """Build a kernel from inside-support callables and verify the axioms.
+def custom_kernel(name, k, g_prime, g_second):
+    """Build a kernel from inside-support callables and verify the axioms
+    (the unit mass to 1e-8).
 
     Raises
     ------
@@ -151,7 +147,7 @@ def custom_kernel(name, k, g_prime, g_second, tol=1e-8):
         If the resulting kernel fails any of the four axiom checks.
     """
     kernel = Kernel(name, k, g_prime, g_second)
-    report = check_kernel_axioms(kernel, tol=tol)
+    report = check_kernel_axioms(kernel, tol=1e-8)
     if not report.passed:
         raise KernelAxiomViolation(
             f"kernel {name!r} failed axiom checks: {report.failures()}"
@@ -188,33 +184,29 @@ class KernelAxiomReport:
         return self.monotone and self.support_ok and self.integrates_to_one and self.bounded
 
     def failures(self):
-        names = []
-        if not self.monotone:
-            names.append("monotone")
-        if not self.support_ok:
-            names.append("support")
-        if not self.integrates_to_one:
-            names.append("unit-integral")
-        if not self.bounded:
-            names.append("bounded")
-        return ", ".join(names) or "none"
+        verdicts = (("monotone", self.monotone), ("support", self.support_ok),
+                    ("unit-integral", self.integrates_to_one), ("bounded", self.bounded))
+        return ", ".join(name for name, ok in verdicts if not ok) or "none"
 
 
-def check_kernel_axioms(kernel, tol=1e-10, grid_points=10_001):
-    """Check the four kernel axioms on a fine grid plus quadrature.
+_AXIOM_GRID_POINTS = 10_001
 
-    Monotonicity and boundedness are sampled on ``grid_points`` points of
-    the support; the unit integral uses adaptive quadrature with absolute
-    tolerance ``tol``.
+
+def check_kernel_axioms(kernel, tol=1e-10):
+    """Check the four kernel axioms on a fine grid plus the unit integral.
+
+    Monotonicity and boundedness are sampled on 10,001 points of the
+    support; the unit integral (see :func:`_power_moment`) must lie within
+    absolute tolerance ``tol`` of 1.
     """
-    grid = np.linspace(0.0, 1.0, grid_points, endpoint=False)
+    grid = np.linspace(0.0, 1.0, _AXIOM_GRID_POINTS, endpoint=False)
     values = kernel(grid)
     monotone = bool(np.all(np.diff(values) <= 1e-12))
     outside = np.array([-10.0, -1.0, -1e-9, 1.0, 1.0 + 1e-9, 2.0, 10.0])
     support_ok = bool(np.all(values >= 0.0) and np.all(kernel(outside) == 0.0))
-    integral = _adaptive_quad(kernel, 0.0, 1.0)
+    integral = _power_moment(kernel, 0.0, 1)
     integrates = bool(abs(integral - 1.0) <= tol)
-    wide = np.linspace(-0.5, 1.5, grid_points)
+    wide = np.linspace(-0.5, 1.5, _AXIOM_GRID_POINTS)
     sup_k = float(np.max(np.abs(kernel(wide))))
     sup_gp = float(np.max(np.abs(kernel.g_prime(wide))))
     sup_gs = float(np.max(np.abs(kernel.g_second(wide))))
@@ -265,10 +257,9 @@ class MomentSpec:
 
 
 def _adaptive_quad(fn, a, b):
-    """Adaptive quadrature to ~1e-12 absolute.
+    """Adaptive quadrature to ~1e-12 absolute, for a custom kernel's moments.
 
-    scipy.integrate is imported here, on first use, so that importing
-    censtail, estimating and simulating do not load it.
+    scipy.integrate is imported here, on first use, so nothing else loads it.
     """
     from scipy.integrate import quad
 
@@ -276,24 +267,31 @@ def _adaptive_quad(fn, a, b):
     return value
 
 
+def _power_moment(kernel, power, degree):
+    """Integral over (0, 1) of s^power * K(s)^degree, power > -1: for a
+    built-in, the sum of b_j / (j + power + 1) over the coefficients b of
+    K^degree; for a custom kernel, adaptive quadrature."""
+    a = kernel._coefficients
+    if a is None:
+        return _adaptive_quad(lambda s: s**power * kernel(s) ** degree, 0.0, 1.0)
+    b = np.convolve(a, a).tolist() if degree == 2 else a
+    return math.fsum(bj / (j + power + 1) for j, bj in enumerate(b))
+
+
 def asymptotic_bias(kernel, spec):
     """Limiting mean of the centered, sqrt(k)-scaled kernel estimator.
 
-    Computes lam times the integral over (0, 1) of s^(-tau1) * K(s) by
-    adaptive quadrature (absolute tolerance 1e-10; the integrand is bounded
-    because tau1 <= 0).
+    lam times the integral over (0, 1) of s^(-tau1) * K(s); the integrand
+    is bounded because tau1 <= 0.
     """
-    tau1 = spec.tau1
-    return spec.lam * _adaptive_quad(lambda s: s ** (-tau1) * kernel(s), 0.0, 1.0)
+    return spec.lam * _power_moment(kernel, -spec.tau1, 1)
 
 
 def asymptotic_variance(kernel, spec):
     """Limiting variance of the centered, sqrt(k)-scaled kernel estimator.
 
-    Computes gamma1^2 times the integral over (0, 1) of s^(1 - 1/p) * K(s)^2.
-    For p < 1 the integrand has an integrable singularity at 0, handled by
-    the adaptive scheme; p <= 1/2 is rejected because the integral diverges.
+    gamma1^2 times the integral over (0, 1) of s^(1 - 1/p) * K(s)^2.  For
+    p < 1 the integrand has an integrable singularity at 0; p <= 1/2 is
+    rejected because the integral diverges.
     """
-    exponent = 1.0 - 1.0 / spec.p
-    value = _adaptive_quad(lambda s: s**exponent * kernel(s) ** 2, 0.0, 1.0)
-    return spec.gamma1**2 * value
+    return spec.gamma1**2 * _power_moment(kernel, 1.0 - 1.0 / spec.p, 2)

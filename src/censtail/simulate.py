@@ -60,6 +60,8 @@ class SimulationConfig:
     def __post_init__(self):
         if not isinstance(self.model, ModelSpec):
             raise ConfigError("model must be a ModelSpec", field="model")
+        for field in ("n", "replications", "master_seed", "workers"):
+            object.__setattr__(self, field, _integer(getattr(self, field), field))
         if self.n < 2:
             raise ConfigError(f"n must be >= 2, got {self.n}", field="n")
         if self.replications < 1:
@@ -67,7 +69,7 @@ class SimulationConfig:
                 f"replications must be >= 1, got {self.replications}",
                 field="replications",
             )
-        k_values = tuple(int(k) for k in self.k_values)
+        k_values = tuple(_integer(k, "k_values") for k in self.k_values)
         if not k_values:
             raise ConfigError("k_values must be nonempty", field="k_values")
         if any(b <= a for a, b in zip(k_values, k_values[1:])):
@@ -90,7 +92,7 @@ class SimulationConfig:
             repeat = _repeated(names)
             if repeat is not None:
                 raise ConfigError(f"{repeat!r} appears twice in {field}", field=field)
-        if not 0 <= int(self.master_seed) < 2**64:
+        if not 0 <= self.master_seed < 2**64:
             raise ConfigError(
                 "master_seed must be an unsigned 64-bit integer", field="master_seed"
             )
@@ -145,9 +147,6 @@ class SimulationConfig:
             for key in ("estimators", "kernels", "master_seed", "workers")
             if key in doc
         }
-        for key in ("master_seed", "workers"):
-            if not isinstance(optional.get(key, 0), int):
-                raise ConfigError(f"{key} must be an integer", field=key)
         return cls(
             model=model,
             n=n,
@@ -155,6 +154,13 @@ class SimulationConfig:
             k_values=k_values,
             **optional,
         )
+
+
+def _integer(value, field):
+    """``value`` as a Python int; a boolean or a non-integer is a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{field} must be an integer, got {value!r}", field=field)
+    return int(value)
 
 
 def _config_kernel(entry):
@@ -257,15 +263,12 @@ class SimulationResult:
     """Aggregated output of :func:`run_simulation`.
 
     ``cells`` maps column name to a tuple of :class:`CellAggregate` aligned
-    with ``config.k_values``; ``replicate_values`` is populated only with
-    ``keep_replicates=True``: per column and k, the estimate of each
-    replication in order, None where undefined.
+    with ``config.k_values``.
     """
 
     config: SimulationConfig
     cells: dict
     runtime_seconds: float
-    replicate_values: dict | None = None
 
     @property
     def column_names(self):
@@ -302,6 +305,8 @@ def _replicate_paths(config, r_start, r_stop):
 
 
 def _collect_paths(config):
+    """Every replication's estimates, stacked as (replication, column, k)
+    with NaN for undefined cells, in replication order for any worker count."""
     total = config.replications
     workers = min(config.workers, total, os.cpu_count() or 1)
     try:
@@ -323,15 +328,12 @@ def _collect_paths(config):
     return np.concatenate(pieces)
 
 
-def run_simulation(config, keep_replicates=False):
+def run_simulation(config):
     """Run the full experiment described by a configuration.
 
     Parameters
     ----------
     config : SimulationConfig
-    keep_replicates : bool
-        Also return every per-replication estimate, so the aggregates can be
-        cross-checked.
 
     Returns
     -------
@@ -349,7 +351,6 @@ def run_simulation(config, keep_replicates=False):
         *(KERNEL_COLUMN_PREFIX + kern.name for kern in config._kernel_objects()),
     )
     cells = {}
-    replicate_values = {} if keep_replicates else None
     # one (replication x k) column at a time keeps the temporaries small
     for name, column in zip(names, np.moveaxis(paths, 1, 0)):
         count = np.count_nonzero(~np.isnan(column), axis=0)
@@ -360,18 +361,8 @@ def run_simulation(config, keep_replicates=False):
             CellAggregate(m, m - target, e, c) if c else CellAggregate(None, None, None, 0)
             for m, e, c in zip(mean.tolist(), mse.tolist(), count.tolist())
         )
-        if keep_replicates:
-            replicate_values[name] = tuple(
-                tuple(None if math.isnan(v) else v for v in per_k)
-                for per_k in column.T.tolist()
-            )
     runtime = time.perf_counter() - started
-    return SimulationResult(
-        config=config,
-        cells=cells,
-        runtime_seconds=runtime,
-        replicate_values=replicate_values,
-    )
+    return SimulationResult(config=config, cells=cells, runtime_seconds=runtime)
 
 
 def curve_smoothness(values):
@@ -392,8 +383,8 @@ class NormalityReport:
     """Empirical vs theoretical law of the scaled estimation error.
 
     Summarizes sqrt(k) * (estimate - gamma1) across replications next to
-    the limiting variance computed by quadrature for the model's uncensored
-    proportion p.
+    the limiting variance (:func:`~censtail.kernels.asymptotic_variance`)
+    for the model's uncensored proportion p.
     """
 
     kernel_name: str

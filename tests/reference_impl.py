@@ -1,15 +1,37 @@
-"""Slow reference implementation of the tail estimators, kept only as a
-test oracle for the engine in :mod:`censtail.estimators`.
+"""Slow reference implementations, kept only as test oracles.
 
-``_TailArrays`` is the per-estimator implementation the engine replaced,
-kept verbatim: one method per estimator, each re-slicing the order
-statistics at its own k, with survival read off fully built step curves.
+``_TailArrays`` is the per-estimator implementation the engine in
+:mod:`censtail.estimators` replaced, kept verbatim: one method per
+estimator, each re-slicing the order statistics at its own k, with survival
+read off fully built step curves.
+
+``KERNEL_FORMULAS`` holds K, g' and g'' of each built-in kernel as
+hand-expanded formulas on the support, the reference for the coefficient
+table in :mod:`censtail.kernels`.
 """
 
 import numpy as np
 
 from censtail.errors import DegenerateP, ZeroSurvivalAtThreshold
 from censtail.survival import kaplan_meier_curve, nelson_aalen_curve
+
+KERNEL_FORMULAS = {
+    "indicator": dict(
+        k=lambda s: np.ones_like(s),
+        g_prime=lambda s: np.ones_like(s),
+        g_second=lambda s: np.zeros_like(s),
+    ),
+    "biweight": dict(
+        k=lambda s: 1.875 * (1.0 - s**2) ** 2,
+        g_prime=lambda s: 1.875 * (1.0 - s**2) * (1.0 - 5.0 * s**2),
+        g_second=lambda s: 1.875 * (20.0 * s**3 - 12.0 * s),
+    ),
+    "triweight": dict(
+        k=lambda s: 2.1875 * (1.0 - s**2) ** 3,
+        g_prime=lambda s: 2.1875 * (1.0 - s**2) ** 2 * (1.0 - 7.0 * s**2),
+        g_second=lambda s: 2.1875 * (-18.0 * s + 60.0 * s**3 - 42.0 * s**5),
+    ),
+}
 
 
 class _TailArrays:

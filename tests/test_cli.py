@@ -292,14 +292,23 @@ assert main(["estimate", "--input", data, "--output", path_csv, "--k-min", "2",
              "--k-max", "12"]) == 0
 assert main(["simulate", "--config", config, "--output", sim_csv]) == 0
 assert "scipy.integrate" not in sys.modules, "loaded by import, estimate or simulate"
-spec = censtail.MomentSpec(gamma1=1.0, p=1.0)
+censtail.normality_check(censtail.ModelSpec(loss=censtail.Pareto(1.0)), 200, 10, 20,
+                         "biweight")
+spec = censtail.MomentSpec(gamma1=1.0, p=1.0, tau1=-1.0, lam=1.0)
+for kernel in (censtail.INDICATOR, censtail.BIWEIGHT, censtail.TRIWEIGHT):
+    censtail.asymptotic_bias(kernel, spec)
+    assert censtail.check_kernel_axioms(kernel).passed
 print(repr(censtail.asymptotic_variance(censtail.BIWEIGHT, spec)))
+assert "scipy.integrate" not in sys.modules, "loaded by a built-in kernel's moments"
+raw = censtail.Kernel("triangular", k=lambda s: 2.0 * (1.0 - s),
+                      g_prime=lambda s: 2.0 - 4.0 * s, g_second=lambda s: -4.0 + 0.0 * s)
+censtail.asymptotic_variance(raw, spec)
 assert "scipy.integrate" in sys.modules
 """
 
 
 def test_estimate_and_simulate_do_not_load_quadrature(tmp_path):
-    """scipy.integrate is imported on the first moment integral only."""
+    """scipy.integrate is imported by a custom kernel's moments only."""
     data = tmp_path / "data.csv"
     write_sample_csv(data, [(1.0 + v * v, int(v % 3 != 0)) for v in range(20)])
     config = small_sim_config(tmp_path)

@@ -15,6 +15,7 @@ from censtail import (
 )
 from censtail.errors import InvalidSpec, KernelAxiomViolation, UnknownKernel
 from censtail.kernels import _adaptive_quad
+from reference_impl import KERNEL_FORMULAS
 
 BUILTINS = (INDICATOR, BIWEIGHT, TRIWEIGHT)
 
@@ -89,6 +90,46 @@ class TestBuiltinKernels:
         grid = np.linspace(1e-3, 1.0 - 1e-3, 2_000)
         numeric = (kernel.g(grid + h) - 2 * kernel.g(grid) + kernel.g(grid - h)) / h**2
         assert np.max(np.abs(kernel.g_second(grid) - numeric)) <= 1e-4
+
+
+class TestCoefficientTable:
+    @pytest.mark.parametrize("kernel", BUILTINS, ids=lambda k: k.name)
+    def test_matches_reference_formulas(self, kernel):
+        formulas = KERNEL_FORMULAS[kernel.name]
+        closed = np.linspace(0.0, 1.0, 100_001)
+        support = closed[:-1]
+        assert np.max(np.abs(kernel(support) - formulas["k"](support))) <= 1e-13
+        assert np.max(np.abs(kernel.g_prime(closed) - formulas["g_prime"](closed))) <= 1e-13
+        assert np.max(np.abs(kernel.g_second(closed) - formulas["g_second"](closed))) <= 1e-13
+
+    def test_g_prime_coefficients(self):
+        assert INDICATOR.g_prime_coefficients == (1.0,)
+        assert BIWEIGHT.g_prime_coefficients == tuple(1.875 * c for c in (1, 0, -6, 0, 5))
+        assert TRIWEIGHT.g_prime_coefficients == tuple(
+            2.1875 * c for c in (1, 0, -9, 0, 15, 0, -7))
+
+    # near p = 1/2 the reference quadrature warns that it cannot reach its
+    # 1e-13 target; it still agrees with the closed forms to 1e-12
+    @pytest.mark.filterwarnings("ignore:The algorithm does not converge")
+    @pytest.mark.parametrize("kernel", BUILTINS, ids=lambda k: k.name)
+    def test_closed_form_moments_match_quadrature(self, kernel):
+        def close(value, reference):
+            return abs(value - reference) <= 1e-12 * abs(reference)
+
+        custom = custom_kernel("custom_" + kernel.name, **KERNEL_FORMULAS[kernel.name])
+        mass = _adaptive_quad(kernel, 0.0, 1.0)
+        assert close(check_kernel_axioms(kernel).integral, mass)
+        for p in (0.51, 0.55, 0.7, 0.9, 1.0):
+            for tau1 in (0.0, -0.5, -1.0, -3.0):
+                spec = MomentSpec(gamma1=0.3, p=p, tau1=tau1, lam=1.3)
+                bias = 1.3 * _adaptive_quad(lambda s: s ** (-tau1) * kernel(s), 0.0, 1.0)
+                variance = 0.3**2 * _adaptive_quad(
+                    lambda s: s ** (1.0 - 1.0 / p) * kernel(s) ** 2, 0.0, 1.0)
+                assert close(asymptotic_bias(kernel, spec), bias), (p, tau1)
+                assert close(asymptotic_variance(kernel, spec), variance), p
+                # a custom kernel has no table and takes the quadrature path
+                assert close(asymptotic_bias(custom, spec), bias), (p, tau1)
+                assert close(asymptotic_variance(custom, spec), variance), p
 
 
 class TestAxioms:

@@ -22,6 +22,7 @@ from censtail import (
     sort_with_concomitants,
 )
 from censtail.errors import ConfigError, TooFewPoints
+from censtail.simulate import _collect_paths
 
 CENSORED_MODEL = ModelSpec(loss=Burr(0.4, 0.25), censor=Frechet(3.6))
 
@@ -69,6 +70,33 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             small_config(workers=0)
         assert err.value.field == "workers"
+
+    @pytest.mark.parametrize("field, value", [
+        ("k_values", (5.7, 10)), ("k_values", (True, 10)), ("master_seed", 1.5),
+        ("n", 50.5), ("replications", True), ("workers", 2.0),
+    ])
+    def test_non_integer_is_config_error(self, field, value):
+        with pytest.raises(ConfigError) as err:
+            small_config(**{field: value})
+        assert err.value.field == field
+
+    @pytest.mark.parametrize("field, value", [("workers", True), ("master_seed", False)])
+    def test_json_boolean_is_config_error(self, field, value):
+        doc = small_config().to_json_dict()
+        doc[field] = value
+        with pytest.raises(ConfigError) as err:
+            SimulationConfig.from_json_dict(doc)
+        assert err.value.field == field
+
+    def test_numpy_integers_are_stored_as_python_ints(self):
+        config = small_config(n=np.int64(50), replications=np.int32(3),
+                              k_values=(np.int64(5), 10), master_seed=np.uint64(3),
+                              workers=np.int8(1))
+        for value in (config.n, config.replications, *config.k_values,
+                      config.master_seed, config.workers):
+            assert type(value) is int
+        doc = json.loads(json.dumps(config.to_json_dict()))
+        assert SimulationConfig.from_json_dict(doc) == config
 
     def test_json_round_trip(self):
         config = small_config()
@@ -182,15 +210,16 @@ class TestRunSimulation:
         config = small_config(model=model, replications=15, k_values=(1, 3, 20, 60, 119),
                               estimators=("hill", "p_hat", "efg", "worms", "mns"),
                               kernels=kernels)
-        result = run_simulation(config, keep_replicates=True)
+        paths = _collect_paths(config)
+        names = run_simulation(config).column_names
         kerns = config._kernel_objects()
         for r in range(1, config.replications + 1):
             sample = sort_with_concomitants(
                 sample_censored(config.model, config.n, RngStream(config.master_seed, r))
             )
             path = estimate_path(sample, config.k_values, config.estimators, kerns)
-            for name in result.column_names:
-                got = tuple(per_k[r - 1] for per_k in result.replicate_values[name])
+            for name, per_k in zip(names, paths[r - 1]):
+                got = tuple(None if math.isnan(v) else v for v in per_k.tolist())
                 assert got == path.column(name), (r, name)
 
     def test_never_sorts_more_than_the_top_view(self, monkeypatch):
@@ -255,13 +284,12 @@ class TestRunSimulation:
         )
         undefined = 0
         for config in (small_config(replications=30), heavy):
-            result = run_simulation(config, keep_replicates=True)
+            result = run_simulation(config)
+            paths = _collect_paths(config)
             gamma1 = config.model.gamma1
-            for name in result.column_names:
+            for c, name in enumerate(result.column_names):
                 for j in range(len(config.k_values)):
-                    values = [
-                        v for v in result.replicate_values[name][j] if v is not None
-                    ]
+                    values = [v for v in paths[:, c, j].tolist() if not math.isnan(v)]
                     agg = result.cells[name][j]
                     assert agg.defined_count == len(values)
                     undefined += config.replications - len(values)
@@ -283,9 +311,9 @@ class TestRunSimulation:
             model=model, n=60, replications=40, k_values=(1, 2),
             estimators=("efg",), kernels=(), master_seed=17,
         )
-        result = run_simulation(config, keep_replicates=True)
-        column = result.replicate_values["efg"][0]
-        undefined = sum(1 for v in column if v is None)
+        result = run_simulation(config)
+        column = _collect_paths(config)[:, 0, 0]  # efg at k = 1
+        undefined = sum(1 for v in column.tolist() if math.isnan(v))
         assert undefined > 0  # the degenerate case actually occurred
         assert result.cells["efg"][0].defined_count + undefined == 40
 

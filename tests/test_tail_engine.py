@@ -330,3 +330,21 @@ def test_scale_invariance_and_scalar_agreement(data, scale):
                 assert abs(got - other) <= 1e-10, (column, k)
             scalar = _scalar(column, sample, k)
             assert scalar == got if got is not None else isinstance(scalar, type)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sorted_samples(), st.data())
+def test_permutation_invariance_and_p_hat_range(sample_data, data):
+    z, delta = sample_data
+    order = np.array(data.draw(st.permutations(range(z.size))))
+    sample = sort_with_concomitants(CensoredSample(z, delta))
+    shuffled = CensoredSample(z[order], delta[order])
+    again = sort_with_concomitants(shuffled)
+    assert np.array_equal(again.z, sample.z)
+    assert np.array_equal(again.delta, sample.delta)
+    ks = list(range(1, sample.n))
+    path = _tail_path(sample, ks, ESTIMATOR_NAMES, KERNELS)
+    assert np.array_equal(_tail_path(shuffled, ks, ESTIMATOR_NAMES, KERNELS), path,
+                          equal_nan=True)
+    proportions = [*path[ESTIMATOR_NAMES.index("p_hat")], p_hat(sample, sample.n)]
+    assert all(0.0 <= p <= 1.0 for p in proportions)
