@@ -168,8 +168,6 @@ def _write_atomic(outputs):
 
 def _cmd_estimate(args):
     header = {"auto": None, "present": True, "absent": False}[args.header]
-    sample = read_csv(args.input, CsvFormat(header=header))
-    sorted_sample = sort_with_concomitants(sample)
     estimators = _split_list(args.estimators)
     for name in estimators:
         if name not in ESTIMATOR_NAMES:
@@ -182,7 +180,10 @@ def _cmd_estimate(args):
         repeat = _repeated(names)
         if repeat is not None:
             raise _UsageError(f"{option} names {repeat!r} twice")
-    path = estimate_path(sorted_sample, _k_values(args), estimators, kernels)
+    k_values = _k_values(args)
+    # every argument is checked before the input is read
+    sample = read_csv(args.input, CsvFormat(header=header))
+    path = estimate_path(sort_with_concomitants(sample), k_values, estimators, kernels)
     _write_atomic([(args.output, render_csv(path.to_table()))])
     return 0
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,6 +157,12 @@ def _open_source(source):
 def read_csv(source, fmt=CsvFormat()):
     """Read a censored sample from a ``value,delta`` CSV file.
 
+    A path is parsed with one vectorised ``numpy.loadtxt`` pass, a text
+    stream by a row scanner (``csv.reader`` and ``float`` on each row).  Both
+    accept the same inputs and give bit-identical values: whatever the
+    vectorised pass does not accept outright is read again by the scanner,
+    so errors and their line numbers always come from the scanner.
+
     Parameters
     ----------
     source : path or text stream
@@ -178,6 +185,65 @@ def read_csv(source, fmt=CsvFormat()):
     EmptySample
         No data rows.
     """
+    if isinstance(source, (str, os.PathLike)):
+        sample = _read_path_fast(source, fmt)
+        if sample is not None:
+            return sample
+    return _scan_csv(source, fmt)
+
+
+def _read_path_fast(path, fmt):
+    """The sample in the CSV file at ``path``, parsed by ``numpy.loadtxt``,
+    or None where the row scanner must read the file.
+
+    Only inputs the row scanner accepts get through, with the values it
+    would give.  Line 1 decides the header as the scanner's first non-empty
+    row does, so a line 1 that is blank, or holds a quote (the csv row may
+    then span lines) or a NUL (which csv.reader before Python 3.11
+    refuses), is left to the scanner.  loadtxt iterates the lines
+    csv.reader iterates and skips the same blank ones; it parses a field to
+    the value ``float`` gives, and refuses quotes, underscores and
+    non-ASCII digits, which ``float`` or csv.reader read differently.
+    """
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            line = fh.readline().rstrip("\r\n")
+            if not line or '"' in line or "\x00" in line:
+                return None
+            is_header = _is_header(line.split(","), fmt)
+            fh.seek(0)
+            with warnings.catch_warnings():
+                # a file without data rows is the scanner's EmptySample
+                warnings.simplefilter("ignore", UserWarning)
+                table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
+                                   skiprows=int(is_header))
+        if table.shape[1] != 2 or _longest_line(path) > csv.field_size_limit():
+            return None
+        # rejects no rows, values that are not finite and > 0, and deltas not 0 or 1
+        return CensoredSample(table[:, 0].copy(), table[:, 1])
+    except Exception:  # any failure leaves the verdict, and the error, to the scanner
+        return None
+
+
+def _longest_line(path, chunk=1 << 20):
+    """The most bytes any line of a file holds between its line ends: a
+    bound on its longest csv field, which csv.reader refuses past
+    ``csv.field_size_limit()``."""
+    longest, run = 0, 1  # run: bytes since the last line end, plus one
+    with open(path, "rb") as fh:
+        while block := fh.read(chunk):
+            octets = np.frombuffer(block, np.uint8)
+            ends = np.flatnonzero((octets == 10) | (octets == 13))  # \n or \r
+            if ends.size == 0:
+                run += len(block)
+                continue
+            longest = max(longest, run + ends[0], np.diff(ends).max(initial=0))
+            run = len(block) - ends[-1]
+    return int(max(longest, run)) - 1
+
+
+def _scan_csv(source, fmt):
+    """The row scanner: csv.reader and ``float`` on each row."""
     stream, owned = _open_source(source)
     try:
         values = []
@@ -187,11 +253,8 @@ def read_csv(source, fmt=CsvFormat()):
             if not row:
                 continue
             if first_data_row:
-                is_header = fmt.header
-                if is_header is None:
-                    is_header = not any(_is_number(field) for field in row)
                 first_data_row = False
-                if is_header:
+                if _is_header(row, fmt):
                     continue
             if len(row) != 2:
                 raise ParseError(
@@ -226,6 +289,13 @@ def read_csv(source, fmt=CsvFormat()):
     if not values:
         raise EmptySample("CSV file contains no data rows")
     return CensoredSample(np.asarray(values), np.asarray(deltas))
+
+
+def _is_header(fields, fmt):
+    """Whether the first non-empty row, split into ``fields``, is a header."""
+    if fmt.header is None:
+        return not any(_is_number(field) for field in fields)
+    return fmt.header
 
 
 def _is_number(text):

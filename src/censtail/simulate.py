@@ -418,12 +418,13 @@ def normality_check(model, n, k, replications, kernel, master_seed=0, workers=1)
         model=model,
         n=n,
         replications=replications,
-        k_values=(int(k),),
+        k_values=(k,),
         estimators=(),
         kernels=(kern,),
         master_seed=master_seed,
         workers=workers,
     )
+    k = config.k_values[0]
     result = run_simulation(config)
     agg = result.cells[KERNEL_COLUMN_PREFIX + kern.name][0]
     if agg.defined_count < 2:
@@ -433,9 +434,9 @@ def normality_check(model, n, k, replications, kernel, master_seed=0, workers=1)
     spec = MomentSpec(gamma1=model.gamma1, p=model.p)
     return NormalityReport(
         kernel_name=kern.name,
-        n=n,
-        k=int(k),
-        replications=replications,
+        n=config.n,
+        k=k,
+        replications=config.replications,
         defined_count=agg.defined_count,
         gamma1=model.gamma1,
         p=model.p,

@@ -15,6 +15,7 @@ from censtail import (
     read_table,
     sort_with_concomitants,
 )
+from censtail import cli
 from censtail.cli import main
 from conftest import make_censored
 
@@ -120,6 +121,26 @@ class TestEstimate:
             "estimate", "--input", str(data), "--output", str(tmp_path / "o.csv"),
         ])
         assert code == 1
+
+    @pytest.mark.parametrize("args", [
+        ["--k", "2", "--estimators", "hill,typo"],
+        ["--k", "2", "--kernels", "biweight,biweight"],
+        ["--k", "2", "--kernels", "gaussian"],
+        [],
+        ["--k-min", "2"],
+        ["--k-min", "2", "--k-max", "4", "--k-step", "0"],
+    ])
+    def test_usage_errors_do_not_read_the_input(self, tmp_path, monkeypatch, args):
+        def unexpected_read(*_args, **_kwargs):
+            pytest.fail("read_csv called before the arguments were checked")
+
+        data = tmp_path / "data.csv"
+        write_sample_csv(data, [(1, 1), (2, 1), (4, 1), (8, 1)])
+        monkeypatch.setattr(cli, "read_csv", unexpected_read)
+        out = tmp_path / "out.csv"
+        code = main(["estimate", "--input", str(data), "--output", str(out), *args])
+        assert code == 1
+        assert not out.exists()
 
     def test_matches_library(self, tmp_path, rng):
         sample = make_censored(rng, n=60)

@@ -1,7 +1,10 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from censtail import (
     CensoredSample,
@@ -15,6 +18,7 @@ from censtail import (
     sort_with_concomitants,
     write_csv,
 )
+from censtail import samples
 from censtail.errors import (
     EmptySample,
     InvalidIndicator,
@@ -163,6 +167,190 @@ class TestReadCsv:
         assert sample.pairs() == [(2.0, 0)]
 
 
+def _outcome(read):
+    """The sample ``read()`` returns, or its exception's type, row and text."""
+    try:
+        return read()
+    except Exception as exc:
+        return type(exc), getattr(exc, "row", None), str(exc)
+
+
+def _scan(path, fmt):
+    """The row scanner's reading of a file: a text stream never takes the
+    vectorised pass."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        return read_csv(fh, fmt)
+
+
+def _assert_same_as_scanner(path, fmt):
+    got = _outcome(lambda: read_csv(path, fmt))
+    want = _outcome(lambda: _scan(path, fmt))
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert isinstance(got, CensoredSample)
+    for a, b in ((got.z, want.z), (got.delta, want.delta)):
+        assert a.dtype == b.dtype
+        assert a.flags.c_contiguous and b.flags.c_contiguous
+        assert a.tobytes() == b.tobytes()
+
+
+# each input either takes the vectorised pass (True) or falls back to the
+# row scanner (False); either way it reads as the scanner reads it
+_EDGE_INPUTS = [
+    ("plain", b"value,delta\n1.5,1\n2.0,0\n", None, True),
+    ("no header", b"1.5,1\n2.0,0\n", None, True),
+    ("declared header", b"1.0,1\n2.0,0\n", True, True),
+    ("declared absent", b"1.0,1\n2.0,0\n", False, True),
+    ("blank lines", b"value,delta\n\n1.5,1\n\n\n2.0,0\n\n", None, True),
+    ("crlf", b"value,delta\r\n1.5,1\r\n2.0,0\r\n", None, True),
+    ("lone cr", b"value,delta\r1.5,1\r2.0,0\r", None, True),
+    ("mixed ends", b"1.5,1\r\n2.0,0\r3.0,1\n", None, True),
+    ("plus sign", b"+1.5,1\n", None, True),
+    ("leading dot", b".5,1\n", None, True),
+    ("trailing dot", b"5.,1\n", None, True),
+    ("capital exponent", b"1E2,0\n", None, True),
+    ("spaces and tabs", b" 1.5 ,\t1\t\n\t2.0\t, 0 \n", None, True),
+    ("unicode spaces", "\u30001.5\xa0,1\x0b\n".encode(), None, True),
+    ("delta spellings", b"1.5,1.0\n2.0,0e0\n3.0,-0\n4.0,+1\n", None, True),
+    ("17 digits", b"0.10000000000000001,1\n1.7976931348623157e+308,0\n", None, True),
+    ("no final newline", b"1.5,1\n2.0,0", None, True),
+    ("bom and header", b"\xef\xbb\xbfvalue,delta\n1.5,1\n", None, True),
+    ("bom and data", b"\xef\xbb\xbf1.5,1\n", None, True),
+    ("quoted fields", b'1.5,1\n"2.5","1"\n', None, False),
+    ("quoted header", b'"value","delta"\n1.5,1\n', None, False),
+    ("quoted header over two lines", b'"val\nue",delta\n1.5,1\n', None, False),
+    ("underscore", b"1_0,1\n", None, False),
+    ("arabic digit", "\u0661,1\n".encode(), None, False),
+    ("fullwidth digit", "1,\uff11\n".encode(), None, False),
+    ("hex", b"0x10,1\n", None, False),
+    ("nul in data", b"1.5,1\n2\x00,0\n", None, False),
+    ("nul in header", b"val\x00ue,delta\n1.5,1\n", None, False),
+    ("whitespace-only line", b"1.5,1\n \n2.0,0\n", None, False),
+    ("tab-only line", b"1.5,1\n\t\n", None, False),
+    ("blank line 1", b"\nvalue,delta\n1.5,1\n", None, False),
+    ("blank line 1, declared header", b"\r\n1.0,1\n2.0,0\n", True, False),
+    ("nan", b"nan,1\n", None, False),
+    ("inf", b"1.5,1\ninf,0\n", None, False),
+    ("overflow", b"1e400,1\n", None, False),
+    ("underflow", b"1.5,1\n1e-400,1\n", None, False),
+    ("zero", b"0,1\n", None, False),
+    ("negative", b"value,delta\n-3,1\n", None, False),
+    ("delta two", b"1.5,2\n", None, False),
+    ("delta half", b"1.5,0.5\n", None, False),
+    ("delta nan", b"1.5,nan\n", None, False),
+    ("three fields", b"1.5,1,9\n", None, False),
+    ("one field", b"1.5,1\n2.0\n", None, False),
+    ("trailing comma", b"1.5,1,\n", None, False),
+    ("empty fields", b"1.5,1\n,\n", None, False),
+    ("malformed first row", b"abc,1\n2.0,0\n", None, False),
+    ("text in row 3", b"value,delta\n1.5,1\nabc,0\n", None, False),
+    ("header declared absent", b"value,delta\n1.5,1\n", False, False),
+    ("header only", b"value,delta\n", None, False),
+    ("header and blank lines", b"value,delta\r\n\r\n\n", None, False),
+    ("empty file", b"", None, False),
+    ("bom only", b"\xef\xbb\xbf", None, False),
+    ("invalid utf-8", b"1.5,1\n\xff,0\n", None, False),
+    ("field over the csv limit", b"1." + b"0" * 200_000 + b",1\n", None, False),
+]
+
+
+class TestReadCsvPath:
+    @pytest.mark.parametrize("content, header, fast", [
+        pytest.param(content, header, fast, id=name)
+        for name, content, header, fast in _EDGE_INPUTS
+    ])
+    def test_edge_input_reads_as_the_scanner_reads_it(self, tmp_path, content,
+                                                      header, fast):
+        path = tmp_path / "edge.csv"
+        path.write_bytes(content)
+        fmt = CsvFormat(header=header)
+        assert (samples._read_path_fast(path, fmt) is not None) == fast
+        _assert_same_as_scanner(path, fmt)
+        _assert_same_as_scanner(str(path), fmt)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 1 << 20])
+    def test_longest_line_across_read_blocks(self, tmp_path, chunk):
+        path = tmp_path / "lines.csv"
+        for text in ("", "abc", "a\nbcd\r\nef", "\r\r\n", "ab\rcdefgh\n", "abcdefgh\r"):
+            path.write_bytes(text.encode())
+            want = max(len(line) for line in text.replace("\r", "\n").split("\n"))
+            assert samples._longest_line(path, chunk) == want
+
+    def test_header_only_file_raises_without_a_warning(self, tmp_path):
+        path = tmp_path / "header.csv"
+        for text in ("value,delta\n", "value,delta\n\n\r\n"):
+            path.write_text(text, encoding="utf-8", newline="")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(EmptySample):
+                    read_csv(path)
+
+
+_PADDING = st.sampled_from(["", "", "", " ", "\t", " \t ", "\x0b", "\xa0", "\u3000"])
+_GOOD_VALUES = st.one_of(
+    st.floats(1e-300, 1e300).map(repr),
+    st.floats(1e-6, 1e6).map(lambda v: format(v, ".6g")),
+    st.floats(1e-6, 1e6).map(lambda v: format(v, ".17e")),
+    st.sampled_from(["1", "+1.5", ".5", "5.", "1E2", "007", "2.5e+3", "1e-300"]),
+)
+_BAD_VALUES = st.sampled_from([
+    "", "abc", "0", "-1", "-0", "nan", "inf", "-inf", "Infinity", "1e400", "1e-400",
+    "1_0", '"1.5"', "\u0661", "1\x00", "0x10", "1e", "--1", "1 2", "1,5",
+])
+_GOOD_DELTAS = st.sampled_from(["0", "1", "1.0", "0e0", "-0", "+1", "0.0", "1e0", "00"])
+_BAD_DELTAS = st.sampled_from(["", "2", "0.5", "-1", "x", "nan", '"1"', "1_0", "\u0661"])
+
+
+def _row(values, deltas):
+    return st.tuples(_PADDING, values, _PADDING, _PADDING, deltas, _PADDING).map(
+        lambda parts: "{}{}{},{}{}{}".format(*parts))
+
+
+_GOOD_ROWS = _row(_GOOD_VALUES, _GOOD_DELTAS)
+_BAD_ROWS = st.one_of(
+    _row(_BAD_VALUES, _GOOD_DELTAS),
+    _row(_GOOD_VALUES, _BAD_DELTAS),
+    st.sampled_from(["", "", " ", "\t", "1.5", "1.5,1,1", "1.5,1,", ",", '"1.5",1',
+                     '"2.5","0"']),
+)
+
+
+@st.composite
+def _csv_texts(draw):
+    """A ``value,delta`` text: mostly good rows, a few injected bad ones,
+    with or without a header, byte-order mark and final line end; now and
+    then every row has a third field."""
+    extra = draw(st.sampled_from(["", "", "", ",1"]))
+    lines = [row + extra for row in draw(st.lists(_GOOD_ROWS, max_size=12))]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_BAD_ROWS))
+    header = draw(st.sampled_from(
+        [None, None, "value,delta", "z,d", "value,1", '"value","delta"', '"1.5","1"',
+         '"val\nue",delta', ""]))
+    if header is not None:
+        lines.insert(0, header)
+    ends = draw(st.sampled_from(["\n", "\r\n", "\r", "mixed"]))
+    text = ""
+    for line in lines:
+        end = draw(st.sampled_from(["\n", "\r\n", "\r"])) if ends == "mixed" else ends
+        text += line + end
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return bom + text
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_csv_texts(), st.sampled_from([None, True, False]))
+def test_path_read_matches_row_scanner(tmp_path, text, header):
+    """read_csv on a path gives the row scanner's values, or its error and row."""
+    path = tmp_path / "sample.csv"
+    path.write_bytes(text.encode("utf-8"))
+    _assert_same_as_scanner(path, CsvFormat(header=header))
+
+
 class TestWriteCsv:
     def test_empty_table_is_header_only(self):
         assert render_csv(Table(("k", "est"), ())) == "k,est\n"
@@ -208,3 +396,12 @@ class TestWriteCsv:
             back = read_csv(path)
             assert np.array_equal(back.z, sample.z)
             assert np.array_equal(back.delta, sample.delta)
+
+    def test_sample_write_read_identity_at_1e5_rows(self, rng, tmp_path):
+        path = tmp_path / "sample.csv"
+        sample = make_censored(rng, n=100_000, allow_ties=True)
+        write_csv(Table(("value", "delta"),
+                        tuple(zip(sample.z.tolist(), sample.delta.tolist()))), path)
+        back = read_csv(path)
+        assert back.z.tobytes() == sample.z.tobytes()
+        assert back.delta.tobytes() == sample.delta.tobytes()

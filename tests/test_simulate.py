@@ -391,6 +391,22 @@ class TestNormalityCheck:
         config = small_config(kernels=(BIWEIGHT, "k3"))
         assert config.kernels == ("biweight", "triweight")
 
+    @pytest.mark.parametrize("k", [10.5, True, "10"])
+    def test_non_integer_k_is_config_error(self, k):
+        # k was truncated to 10 while the variance was scaled by the raw k
+        with pytest.raises(ConfigError) as err:
+            normality_check(ModelSpec(loss=Pareto(1.0)), 300, k, 30, "biweight",
+                            master_seed=1)
+        assert err.value.field == "k_values"
+
+    def test_numpy_k_reports_the_python_int_run(self):
+        model = ModelSpec(loss=Pareto(1.0))
+        got = normality_check(model, np.int64(300), np.int64(10), 30, "biweight",
+                              master_seed=1)
+        want = normality_check(model, 300, 10, 30, "biweight", master_seed=1)
+        assert got == want
+        assert type(got.n) is int and type(got.k) is int
+
     def test_unverified_kernel_is_config_error(self):
         raw = Kernel("raw", k=np.ones_like, g_prime=np.ones_like, g_second=np.zeros_like)
         with pytest.raises(ConfigError) as err:
