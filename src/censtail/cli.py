@@ -27,7 +27,7 @@ from .errors import (
     UnknownKernel,
     ZeroSurvivalAtThreshold,
 )
-from .estimators import ESTIMATOR_NAMES, _repeated, estimate_path
+from .estimators import ESTIMATOR_NAMES, _check_k, _repeated, estimate_path
 from .kernels import (
     BUILTIN_KERNEL_NAMES,
     MomentSpec,
@@ -157,7 +157,10 @@ def _write_atomic(outputs):
                 fh.write(text)
             os.chmod(tmp, 0o666 & ~umask)
         for tmp, (path, _) in zip(temps, outputs):
-            os.replace(tmp, path)
+            try:
+                os.replace(tmp, path)
+            except OSError as exc:  # it names the temp file too, which is gone below
+                raise OSError(exc.errno, exc.strerror, path) from None
             done.append(path)
     except BaseException:
         for name in temps[len(done):] + done:
@@ -182,8 +185,10 @@ def _cmd_estimate(args):
             raise _UsageError(f"{option} names {repeat!r} twice")
     k_values = _k_values(args)
     # every argument is checked before the input is read
-    sample = read_csv(args.input, CsvFormat(header=header))
-    path = estimate_path(sort_with_concomitants(sample), k_values, estimators, kernels)
+    rows = read_csv(args.input, CsvFormat(header=header), top=max(k_values) + 1)
+    for k in k_values:
+        _check_k(k, rows.n)  # against the full n, which the top rows no longer have
+    path = estimate_path(sort_with_concomitants(rows.sample), k_values, estimators, kernels)
     _write_atomic([(args.output, render_csv(path.to_table()))])
     return 0
 

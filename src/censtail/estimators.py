@@ -6,15 +6,17 @@ threshold order statistic (the (n-k)-th from below) carry the information;
 k trades bias (large k) against variance (small k).
 
 Every entry point runs the same engine, :func:`_tail_path`.  Its cost for a
-whole k grid is an O(n) selection of the top k_max + 1 order statistics (a
-slice, when the sample is already sorted), a sort of that top slice, then
-O(k_max) vectorised suffix sums over it, gathered at the threshold of each
-k; the Nelson-Aalen and Kaplan-Meier ratios come from the hazards inside
-the slice.  The simulator hands its unsorted samples straight to the
-engine, so it never sorts a whole sample.  The built-in kernels enter
-through the polynomial coefficients of g'; a custom kernel has no such form
-and costs O(k) per k of the grid.  ``mns`` is the kernel estimator with the
-indicator kernel.
+whole k grid is an O(n) selection of the top k_max + 1 order statistics,
+:func:`~censtail.samples.top_order_statistics` (a slice, when the sample is
+already sorted), a sort of that top slice, then O(k_max) vectorised suffix
+sums over it, gathered at the threshold of each k; the Nelson-Aalen and
+Kaplan-Meier ratios come from the hazards inside the slice.  The simulator
+hands its unsorted samples straight to the engine, and ``censtail
+estimate`` reads only the selection (``read_csv(path, top=k_max + 1)``) and
+sorts it, so neither sorts a whole sample.  The
+built-in kernels enter through the polynomial coefficients of g'; a custom
+kernel has no such form and costs O(k) per k of the grid.  ``mns`` is the
+kernel estimator with the indicator kernel.
 """
 
 from __future__ import annotations
@@ -31,7 +33,12 @@ from .errors import (
     ZeroSurvivalAtThreshold,
 )
 from .kernels import INDICATOR, Kernel
-from .samples import SortedCensoredSample, Table
+from .samples import (
+    SortedCensoredSample,
+    Table,
+    sort_with_concomitants,
+    top_order_statistics,
+)
 from .survival import _tie_blocks
 
 ESTIMATOR_NAMES = ("hill", "p_hat", "efg", "worms", "mns")
@@ -79,27 +86,24 @@ def _suffix_sums(x):
     blocks = np.zeros((*lead, count * _SUM_BLOCK), x.dtype)
     blocks[..., :m] = x[..., ::-1]
     blocks = blocks.reshape(*lead, count, _SUM_BLOCK)
-    sums = np.cumsum(blocks, axis=-1)
-    sums[..., 1:, :] += np.cumsum(blocks.sum(axis=-1), axis=-1)[..., :-1, None]
-    sums = sums.reshape(*lead, count * _SUM_BLOCK)[..., m - 1::-1]
-    return np.concatenate((sums, np.zeros((*lead, 1), x.dtype)), axis=-1)
+    totals = blocks.sum(axis=-1)
+    np.cumsum(blocks, axis=-1, out=blocks)
+    blocks[..., 1:, :] += np.cumsum(totals, axis=-1)[..., :-1, None]
+    sums = np.zeros((*lead, m + 1), x.dtype)
+    sums[..., :m] = blocks.reshape(*lead, count * _SUM_BLOCK)[..., m - 1::-1]
+    return sums
 
 
 def _top_view(sample, lo):
     """The order statistics from the start of the tie block at sorted
-    position ``lo`` up to the maximum, with their indicators: a slice of a
-    :class:`SortedCensoredSample`, and for an unsorted sample the values at
-    or above the ``lo``-th smallest, found by selection, then sorted.  The
-    sort is stable, so the order is exactly the one of
-    :func:`~censtail.samples.sort_with_concomitants`."""
-    z, delta = sample.z, sample.delta
-    if isinstance(sample, SortedCensoredSample):
-        start = np.searchsorted(z, z[lo])
-        return z[start:], delta[start:]
-    top = z >= np.partition(z, lo)[lo]
-    z, delta = z[top], delta[top]
-    order = np.lexsort((-delta, z))
-    return z[order], delta[order]
+    position ``lo`` up to the maximum, with their indicators:
+    :func:`~censtail.samples.top_order_statistics` of the top n - lo, sorted
+    by :func:`~censtail.samples.sort_with_concomitants` unless it is
+    already a slice of a sorted sample."""
+    top = top_order_statistics(sample, sample.n - lo)
+    if not isinstance(top, SortedCensoredSample):
+        top = sort_with_concomitants(top)
+    return top.z, top.delta
 
 
 def _view_survival(z, hazard):
@@ -197,12 +201,19 @@ def _kernel_rows(kernels, t, weight, logz, spacing, na):
     powers = sorted({m + 1 for kern in poly
                      for m, c in enumerate(kern.g_prime_coefficients) if c})
     if powers:
-        na_pow = [None, na]
-        while len(na_pow) <= powers[-1]:
-            na_pow.append(na_pow[-1] * na)
-        weighted = _suffix_sums(np.stack([weight * na_pow[p] for p in powers]))
-        sums = _suffix_sums(spacing * weighted[:, 1:-1])[:, t]
-        ratio_sums = {p: s / na_pow[p][t] for p, s in zip(powers, sums)}
+        # a power of na lives only until the next one, and at t
+        weighted = np.empty((len(powers), na.size))
+        at_t = []
+        na_p, power = na, 1
+        for i, p in enumerate(powers):
+            while power < p:
+                na_p, power = na_p * na, power + 1
+            np.multiply(weight, na_p, out=weighted[i])
+            at_t.append(na_p[t])
+        weighted = _suffix_sums(weighted)[:, 1:-1]
+        weighted *= spacing
+        sums = _suffix_sums(weighted)[:, t]
+        ratio_sums = {p: s / a for p, s, a in zip(powers, sums, at_t)}
         for kern in poly:
             rows[kern] = sum(c * ratio_sums[m + 1]
                              for m, c in enumerate(kern.g_prime_coefficients) if c)

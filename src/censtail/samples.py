@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import csv
 import io
+import operator
 import os
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -130,6 +132,43 @@ def sort_with_concomitants(sample):
     return out
 
 
+def top_order_statistics(sample, m):
+    """The m largest observations, with the rest of the tie block at the
+    m-th largest, and their indicators.
+
+    An estimator at k reads only the top k + 1 order statistics, so a
+    k grid up to k_max needs ``top_order_statistics(sample, k_max + 1)``
+    and nothing below it.  A :class:`SortedCensoredSample` gives a
+    :class:`SortedCensoredSample` sliced from it.  A :class:`CensoredSample`
+    gives a :class:`CensoredSample` of the selected rows in input order,
+    found by an O(n) selection (``numpy.partition``) rather than a sort;
+    :func:`sort_with_concomitants` of it is exactly the top of the sorted
+    sample.  With m >= n the result is ``sample`` itself.
+
+    Parameters
+    ----------
+    sample : CensoredSample or SortedCensoredSample
+    m : int
+        At least 1.
+    """
+    m = operator.index(m)
+    if m < 1:
+        raise ValueError(f"m must be at least 1, got {m}")
+    lo = sample.n - m  # sorted position of the m-th largest
+    if lo <= 0:
+        return sample
+    z, delta = sample.z, sample.delta
+    if isinstance(sample, SortedCensoredSample):
+        start = np.searchsorted(z, z[lo])
+        z, delta = z[start:], delta[start:]
+    else:
+        top = z >= np.partition(z, lo)[lo]
+        z, delta = z[top], delta[top]
+    out = object.__new__(type(sample))  # rows of a validated sample, in its order
+    _store(out, z, delta)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # CSV input
 
@@ -154,30 +193,50 @@ def _open_source(source):
     return source, False
 
 
-def read_csv(source, fmt=CsvFormat()):
+class TopRows(NamedTuple):
+    """What :func:`read_csv` keeps with ``top``: ``n``, the number of rows
+    it read, and ``sample``, the ``top`` largest of them with the rest of the
+    tie block at the ``top``-th largest, as :func:`top_order_statistics`
+    selects them."""
+
+    n: int
+    sample: CensoredSample
+
+
+def read_csv(source, fmt=CsvFormat(), top=None):
     """Read a censored sample from a ``value,delta`` CSV file.
 
-    A path is parsed with one vectorised ``numpy.loadtxt`` pass, a text
-    stream by a row scanner (``csv.reader`` and ``float`` on each row).  Both
-    accept the same inputs and give bit-identical values: whatever the
-    vectorised pass does not accept outright is read again by the scanner,
-    so errors and their line numbers always come from the scanner.
+    A path is parsed by ``numpy.loadtxt`` in blocks of rows, a text stream
+    by a row scanner (``csv.reader`` and ``float`` on each row).  Both accept
+    the same inputs and give bit-identical values: whatever the vectorised
+    pass does not accept outright is read again by the scanner, so errors
+    and their line numbers always come from the scanner.
+
+    With ``top``, only ``top_order_statistics(sample, top)`` is kept.  A
+    path is then never held whole: each block is merged into the largest
+    rows so far as it is read, so the memory it takes is about ``top``
+    rows plus a block, however long the file.  Every row is still parsed
+    and checked.
 
     Parameters
     ----------
     source : path or text stream
     fmt : CsvFormat
         Header handling; see :class:`CsvFormat`.
+    top : int, optional
+        At least 1.
 
     Returns
     -------
-    CensoredSample
-        Rows in file order.
+    CensoredSample or TopRows
+        The rows in file order; with ``top``, a :class:`TopRows` of the
+        row count and the selected rows in file order.
 
     Raises
     ------
     ParseError
-        Malformed row, with its 1-based line number.
+        Malformed row, with its 1-based line number, or text that is not
+        UTF-8.
     NonPositiveObservation
         A value column entry was <= 0 or not finite.
     InvalidIndicator
@@ -185,16 +244,22 @@ def read_csv(source, fmt=CsvFormat()):
     EmptySample
         No data rows.
     """
+    if top is not None and operator.index(top) < 1:
+        raise ValueError(f"top must be at least 1, got {top}")
     if isinstance(source, (str, os.PathLike)):
-        sample = _read_path_fast(source, fmt)
-        if sample is not None:
-            return sample
-    return _scan_csv(source, fmt)
+        read = _read_path_fast(source, fmt, top)
+        if read is not None:
+            return read
+    sample = _scan_csv(source, fmt)
+    return sample if top is None else TopRows(sample.n, top_order_statistics(sample, top))
 
 
-def _read_path_fast(path, fmt):
-    """The sample in the CSV file at ``path``, parsed by ``numpy.loadtxt``,
-    or None where the row scanner must read the file.
+_BLOCK_ROWS = 1 << 16
+
+
+def _read_path_fast(path, fmt, top=None):
+    """What :func:`read_csv` returns for the CSV file at ``path``, parsed
+    by ``numpy.loadtxt``, or None where the row scanner must read the file.
 
     Only inputs the row scanner accepts get through, with the values it
     would give.  Line 1 decides the header as the scanner's first non-empty
@@ -204,25 +269,64 @@ def _read_path_fast(path, fmt):
     csv.reader iterates and skips the same blank ones; it parses a field to
     the value ``float`` gives, and refuses quotes, underscores and
     non-ASCII digits, which ``float`` or csv.reader read differently.
+
+    loadtxt reads ``_BLOCK_ROWS`` rows at a time from the open file and the
+    next call goes on where it stopped, so no n-row table is ever made.
+    With ``top``, rows below the ``top``-th largest of the rows kept so far
+    are dropped from each block as it comes, and the kept rows are cut back
+    to their own top once they reach twice ``top``: the ``top``-th largest
+    of some rows is never above that of all of them, so no dropped row
+    belongs to the final selection.
     """
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             line = fh.readline().rstrip("\r\n")
-            if not line or '"' in line or "\x00" in line:
-                return None
-            is_header = _is_header(line.split(","), fmt)
-            fh.seek(0)
-            with warnings.catch_warnings():
-                # a file without data rows is the scanner's EmptySample
-                warnings.simplefilter("ignore", UserWarning)
-                table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
-                                   skiprows=int(is_header))
-        if table.shape[1] != 2 or _longest_line(path) > csv.field_size_limit():
+        if not line or '"' in line or "\x00" in line:
             return None
-        # rejects no rows, values that are not finite and > 0, and deltas not 0 or 1
-        return CensoredSample(table[:, 0].copy(), table[:, 1])
+        skip = int(_is_header(line.split(","), fmt))
+        n, kept, floor = 0, [], -np.inf
+        with open(path, "r", encoding="utf-8-sig") as fh, warnings.catch_warnings():
+            # past the last row loadtxt warns and reads nothing
+            warnings.simplefilter("ignore", UserWarning)
+            while (table := np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
+                                       skiprows=skip, max_rows=_BLOCK_ROWS)).size:
+                skip = 0
+                if table.shape[1] != 2:
+                    return None
+                z, delta = table[:, 0], table[:, 1]
+                # the checks of CensoredSample, and delta before the cast, which would truncate
+                if not (np.isfinite(z).all() and (z > 0).all()
+                        and ((delta == 0) | (delta == 1)).all()):
+                    return None
+                n += z.size
+                if top is not None:
+                    rows = z >= floor
+                    z, delta = z[rows], delta[rows]
+                kept.append(_unchecked(np.ascontiguousarray(z), delta.astype(np.int8)))
+                if top is not None and sum(part.n for part in kept) >= 2 * top:
+                    kept = [top_order_statistics(_joined(kept), top)]
+                    floor = kept[0].z.min()
+        if n == 0 or _longest_line(path) > csv.field_size_limit():
+            return None  # no data rows is the scanner's EmptySample
+        sample = _joined(kept)
+        return sample if top is None else TopRows(n, top_order_statistics(sample, top))
     except Exception:  # any failure leaves the verdict, and the error, to the scanner
         return None
+
+
+def _unchecked(z, delta):
+    """A CensoredSample of rows already checked."""
+    out = object.__new__(CensoredSample)
+    _store(out, z, delta)
+    return out
+
+
+def _joined(parts):
+    """The CensoredSample of the rows of ``parts`` in order."""
+    if len(parts) == 1:
+        return parts[0]
+    return _unchecked(np.concatenate([part.z for part in parts]),
+                      np.concatenate([part.delta for part in parts]))
 
 
 def _longest_line(path, chunk=1 << 20):
@@ -249,7 +353,7 @@ def _scan_csv(source, fmt):
         values = []
         deltas = []
         first_data_row = True
-        for lineno, row in enumerate(csv.reader(stream), start=1):
+        for lineno, row in enumerate(_csv_rows(stream), start=1):
             if not row:
                 continue
             if first_data_row:
@@ -289,6 +393,21 @@ def _scan_csv(source, fmt):
     if not values:
         raise EmptySample("CSV file contains no data rows")
     return CensoredSample(np.asarray(values), np.asarray(deltas))
+
+
+def _csv_rows(stream):
+    """csv.reader's rows of ``stream``.  A row csv.reader refuses, such as
+    one with a field over ``csv.field_size_limit()``, is a ParseError with
+    the reader's line number, and bytes that are not UTF-8 are a ParseError
+    too."""
+    reader = csv.reader(stream)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(f"row {reader.line_num}: {exc}", row=reader.line_num) from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not UTF-8 text: byte 0x{exc.object[exc.start]:02x}, "
+                         f"{exc.reason}") from None
 
 
 def _is_header(fields, fmt):

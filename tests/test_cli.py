@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from censtail import (
@@ -13,6 +14,7 @@ from censtail import (
     builtin_kernel,
     estimate_path,
     read_table,
+    render_csv,
     sort_with_concomitants,
 )
 from censtail import cli
@@ -140,6 +142,88 @@ class TestEstimate:
         out = tmp_path / "out.csv"
         code = main(["estimate", "--input", str(data), "--output", str(out), *args])
         assert code == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content", [
+        b"value,delta\n1.5,1\n" + b"1" * 200_000 + b",1\n2.0,0\n",
+        b"\xff\xfe1,1\n2,0\n3,1\n",
+    ], ids=["field over the csv limit", "not utf-8"])
+    def test_unreadable_input_is_a_data_error(self, tmp_path, capsys, content):
+        data = tmp_path / "data.csv"
+        data.write_bytes(content)
+        out = tmp_path / "out.csv"
+        code = main(["estimate", "--input", str(data), "--output", str(out), "--k", "1"])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not out.exists()
+
+    def test_output_directory_error_names_the_output(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        write_sample_csv(data, [(1, 1), (2, 1), (4, 1), (8, 1)])
+        out = tmp_path / "out"
+        out.mkdir()
+        code = main(["estimate", "--input", str(data), "--output", str(out), "--k", "2"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert repr(str(out)) in err and ".tmp" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "out"]
+        assert not any(out.iterdir())
+
+    def test_sorts_only_the_top_of_the_sample(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(7)
+        n, k_max = 4000, 300
+        z = np.round(rng.pareto(1.5, n) + 1.0, 1)  # tie blocks of mixed indicators
+        delta = rng.integers(0, 2, n)
+        data = tmp_path / "data.csv"
+        write_sample_csv(data, zip(z.tolist(), delta.tolist()))
+        z_sorted = np.sort(z)
+        top = n - np.searchsorted(z_sorted, z_sorted[n - 1 - k_max])  # with the tie block
+        assert k_max + 1 < top < n
+        lengths = []
+        lexsort = np.lexsort
+
+        def recording_lexsort(keys, *args, **kwargs):
+            lengths.append(len(keys[0]))
+            return lexsort(keys, *args, **kwargs)
+
+        monkeypatch.setattr(np, "lexsort", recording_lexsort)
+        code = main(["estimate", "--input", str(data), "--output", str(tmp_path / "out.csv"),
+                     "--k-min", "10", "--k-max", str(k_max), "--k-step", "10"])
+        assert code == 0
+        assert lengths and max(lengths) == top
+
+    def test_top_slice_gives_the_bytes_of_the_full_sort(self, tmp_path):
+        rng = np.random.default_rng(3)
+        n = 3000
+        z = np.round(rng.pareto(1.2, n) + 1.0, 1)
+        delta = (rng.random(n) < 0.6).astype(int)
+        data = tmp_path / "data.csv"
+        write_sample_csv(data, zip(z.tolist(), delta.tolist()))
+        lo = n - 1 - 700  # a tie block of mixed indicators straddles it
+        at_lo = np.sort(z)[lo]
+        tied = np.sort(z) == at_lo
+        assert tied[lo - 1] and tied[lo + 1] and 0 < delta[z == at_lo].sum() < tied.sum()
+        out = tmp_path / "out.csv"
+        for k_args, k_values in ((["--k-min", "1", "--k-max", "700"], range(1, 701)),
+                                 (["--k-min", "5", "--k-max", "2999", "--k-step", "7"],
+                                  range(5, 3000, 7)),
+                                 (["--k", "444"], [444])):
+            assert main(["estimate", "--input", str(data), "--output", str(out),
+                         *k_args]) == 0
+            full = sort_with_concomitants(CensoredSample(z, delta))
+            path = estimate_path(full, k_values, ("p_hat", "hill", "efg", "worms", "mns"),
+                                 (builtin_kernel("biweight"), builtin_kernel("triweight")))
+            assert out.read_bytes() == render_csv(path.to_table()).encode()
+
+    @pytest.mark.parametrize("k_args", [["--k", "50"], ["--k-min", "0", "--k-max", "5"],
+                                        ["--k-min", "40", "--k-max", "60"]])
+    def test_invalid_k_names_the_full_n(self, tmp_path, capsys, k_args):
+        data = tmp_path / "data.csv"
+        write_sample_csv(data, [(1.0 + j, j % 2) for j in range(50)])
+        out = tmp_path / "out.csv"
+        assert main(["estimate", "--input", str(data), "--output", str(out), *k_args]) == 2
+        assert "(n = 50)" in capsys.readouterr().err
         assert not out.exists()
 
     def test_matches_library(self, tmp_path, rng):

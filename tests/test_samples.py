@@ -16,6 +16,7 @@ from censtail import (
     read_table,
     render_csv,
     sort_with_concomitants,
+    top_order_statistics,
     write_csv,
 )
 from censtail import samples
@@ -81,6 +82,50 @@ class TestSorting:
         canonical = sort_with_concomitants(CensoredSample(z, np.array([1, 1, 0, 1, 1, 0, 1])))
         assert direct.delta.tolist() == canonical.delta.tolist()
         assert kaplan_meier_survival(direct, 3.0) == pytest.approx(4 / 7, abs=1e-15)
+
+
+class TestTopOrderStatistics:
+    def test_sorted_and_unsorted_give_the_top_of_the_sorted_sample(self, rng):
+        """Tie blocks of mixed indicators straddle n - m, and m reaches past n."""
+        straddled = 0
+        for _ in range(40):
+            n = int(rng.integers(2, 80))
+            z = rng.uniform(1.0, 3.0, size=n).round(1)  # about 20 distinct values
+            raw = CensoredSample(z, rng.integers(0, 2, size=n))
+            ordered = sort_with_concomitants(raw)
+            for m in (1, 2, n // 2 + 1, n - 1, n, n + 3):
+                if m < 1:
+                    continue
+                lo = max(n - m, 0)
+                start = int(np.searchsorted(ordered.z, ordered.z[lo]))
+                block = ordered.z == ordered.z[lo]
+                straddled += bool(start < lo < n - 1 and block[lo + 1]
+                                  and 0 < ordered.delta[block].sum() < block.sum())
+                sliced = top_order_statistics(ordered, m)
+                selected = top_order_statistics(raw, m)
+                assert type(sliced) is SortedCensoredSample
+                assert type(selected) is CensoredSample
+                assert np.array_equal(sliced.z, ordered.z[start:])
+                assert np.array_equal(sliced.delta, ordered.delta[start:])
+                keep = raw.z >= ordered.z[lo]  # the same rows, in input order
+                assert np.array_equal(selected.z, raw.z[keep])
+                assert np.array_equal(selected.delta, raw.delta[keep])
+                again = sort_with_concomitants(selected)
+                assert np.array_equal(again.z, sliced.z)
+                assert np.array_equal(again.delta, sliced.delta)
+                for out in (sliced, selected):
+                    assert out.delta.dtype == np.int8
+                    assert not out.z.flags.writeable and not out.delta.flags.writeable
+                if m >= n:
+                    assert sliced is ordered and selected is raw
+        assert straddled > 10
+
+    def test_m_must_be_a_positive_integer(self):
+        sample = CensoredSample(np.array([1.0, 2.0]), np.array([1, 0]))
+        with pytest.raises(ValueError):
+            top_order_statistics(sample, 0)
+        with pytest.raises(TypeError):
+            top_order_statistics(sample, 1.0)
 
 
 class TestValidation:
@@ -153,6 +198,40 @@ class TestReadCsv:
         with pytest.raises(ParseError) as err:
             read_csv(io.StringIO(first + "\n2.0,0\n"))
         assert err.value.row == 1
+
+    def test_field_over_the_csv_limit_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_bytes(b"value,delta\n1.5,1\n1." + b"0" * 200_000 + b",1\n")
+        with pytest.raises(ParseError, match="field larger than field limit") as err:
+            read_csv(path)
+        assert err.value.row == 3
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe1,1\n2,0\n", b"1.5,1\n2.0,\xe9\n"])
+    def test_bytes_that_are_not_utf8_are_a_parse_error(self, tmp_path, content):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(content)
+        with pytest.raises(ParseError, match="not UTF-8"):
+            read_csv(path)
+
+    def test_a_path_that_looks_like_a_url_is_read_from_disk(self, tmp_path, monkeypatch):
+        """numpy opens a name with a scheme and a host as a URL; the file at
+        that relative path is read, and nothing is fetched."""
+        import urllib.request
+
+        fetched = []
+
+        def no_fetch(url, *args, **kwargs):
+            fetched.append(url)
+            raise OSError("no fetching in tests")
+
+        monkeypatch.setattr(urllib.request, "urlopen", no_fetch)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "http:" / "example.invalid").mkdir(parents=True)
+        (tmp_path / "http:" / "example.invalid" / "s.csv").write_bytes(b"1.5,1\n2.0,0\n")
+        name = "http://example.invalid/s.csv"
+        assert samples._read_path_fast(name, CsvFormat()) is not None
+        assert read_csv(name).pairs() == [(1.5, 1), (2.0, 0)]
+        assert fetched == []
 
     def test_byte_order_mark_is_skipped(self, tmp_path):
         path = tmp_path / "bom.csv"
@@ -350,6 +429,75 @@ def test_path_read_matches_row_scanner(tmp_path, text, header):
     path.write_bytes(text.encode("utf-8"))
     _assert_same_as_scanner(path, CsvFormat(header=header))
 
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_csv_texts(), st.sampled_from([None, True, False]), st.sampled_from([1, 2, 3]),
+       st.sampled_from([None, 1, 2, 3, 7]))
+def test_block_read_matches_row_scanner(tmp_path, text, header, block, top):
+    """read_csv on a path, a few rows per loadtxt block, with and without
+    top, gives the row scanner's rows and their top, or its error and row."""
+    path = tmp_path / "sample.csv"
+    path.write_bytes(text.encode("utf-8"))
+    fmt = CsvFormat(header=header)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(samples, "_BLOCK_ROWS", block)
+        got = _outcome(lambda: read_csv(path, fmt, top=top))
+    want = _outcome(lambda: _scan(path, fmt))
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    if top is not None:
+        assert isinstance(got, samples.TopRows) and got.n == want.n
+        got, want = got.sample, top_order_statistics(want, top)
+    assert isinstance(got, CensoredSample)
+    assert got.z.tobytes() == want.z.tobytes()
+    assert got.delta.tobytes() == want.delta.tobytes()
+
+
+class TestReadCsvTop:
+    @pytest.mark.parametrize("block", [1, 4, 7, 1 << 16])
+    def test_top_rows_are_the_top_of_the_whole_sample(self, tmp_path, rng, monkeypatch,
+                                                       block):
+        # few distinct values, so tie blocks of mixed indicators straddle every cut
+        monkeypatch.setattr(samples, "_BLOCK_ROWS", block)
+        path = tmp_path / "ties.csv"
+        z = rng.integers(1, 9, 60) / 4.0
+        delta = rng.integers(0, 2, 60)
+        path.write_text("value,delta\n" + "".join(f"{v!r},{d}\n" for v, d in zip(z.tolist(), delta.tolist())))
+        whole = read_csv(path)
+        for m in (1, 2, 5, 17, 30, 59, 60, 61, 1000):
+            got = read_csv(path, top=m)
+            want = top_order_statistics(whole, m)
+            assert got.n == 60
+            assert got.sample.z.tobytes() == want.z.tobytes()
+            assert got.sample.delta.tobytes() == want.delta.tobytes()
+
+    def test_stream_and_fallback_keep_the_same_top(self, tmp_path):
+        text = 'value,delta\n3,1\n"1",0\n3,0\n2,1\n3,1\n'
+        path = tmp_path / "quoted.csv"
+        path.write_text(text)
+        assert samples._read_path_fast(path, CsvFormat(), 2) is None
+        for got in (read_csv(path, top=2), read_csv(io.StringIO(text), top=2)):
+            assert got.n == 5
+            assert got.sample.pairs() == [(3.0, 1), (3.0, 0), (3.0, 1)]
+
+    def test_errors_are_the_whole_files(self, tmp_path, monkeypatch):
+        # a bad row below the top still fails the read, as the scanner reports it
+        monkeypatch.setattr(samples, "_BLOCK_ROWS", 2)
+        path = tmp_path / "bad.csv"
+        path.write_text("value,delta\n5,1\n6,1\n7,1\n1,2\n")
+        with pytest.raises(InvalidIndicator):
+            read_csv(path, top=1)
+        path.write_text("value,delta\n5,1\n6,1\n7,1\nabc,0\n")
+        with pytest.raises(ParseError, match="row 5"):
+            read_csv(path, top=1)
+
+    @pytest.mark.parametrize("top", [0, -1])
+    def test_top_below_one_is_refused(self, top):
+        with pytest.raises(ValueError, match="top must be at least 1"):
+            read_csv(io.StringIO("1.5,1\n"), top=top)
 
 class TestWriteCsv:
     def test_empty_table_is_header_only(self):
