@@ -12,9 +12,9 @@ import json
 import os
 import sys
 import tempfile
+import warnings
 
 from .errors import (
-    CensTailError,
     ConfigError,
     DegenerateP,
     DomainError,
@@ -24,10 +24,11 @@ from .errors import (
     InvalidSpec,
     NonPositiveObservation,
     ParseError,
+    SimulationError,
     UnknownKernel,
     ZeroSurvivalAtThreshold,
 )
-from .estimators import ESTIMATOR_NAMES, _check_k, _repeated, estimate_path
+from .estimators import ESTIMATOR_NAMES, _check_k, _columns, estimate_path
 from .kernels import (
     BUILTIN_KERNEL_NAMES,
     MomentSpec,
@@ -41,7 +42,12 @@ from .simulate import SimulationConfig, run_simulation
 
 WORKERS_ENV_VAR = "CENS_TAIL_THREADS"
 
-_USAGE_ERRORS = (ConfigError, InvalidSpec, UnknownKernel, DomainError)
+
+class _UsageError(Exception):
+    pass
+
+
+_USAGE_ERRORS = (_UsageError, ConfigError, InvalidSpec, UnknownKernel, DomainError)
 _DATA_ERRORS = (
     ParseError,
     InvalidIndicator,
@@ -50,14 +56,11 @@ _DATA_ERRORS = (
     InvalidK,
     DegenerateP,
     ZeroSurvivalAtThreshold,
+    SimulationError,  # a replication failed on the values the model drew
     FileNotFoundError,
     IsADirectoryError,
     PermissionError,
 )
-
-
-class _UsageError(Exception):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -134,7 +137,7 @@ def _k_values(args):
         raise _UsageError("--k-step must be >= 1")
     if args.k_max < args.k_min:
         raise _UsageError("--k-max must be >= --k-min")
-    return list(range(args.k_min, args.k_max + 1, args.k_step))
+    return range(args.k_min, args.k_max + 1, args.k_step)
 
 
 def _write_atomic(outputs):
@@ -172,20 +175,14 @@ def _write_atomic(outputs):
 def _cmd_estimate(args):
     header = {"auto": None, "present": True, "absent": False}[args.header]
     estimators = _split_list(args.estimators)
-    for name in estimators:
-        if name not in ESTIMATOR_NAMES:
-            raise _UsageError(f"unknown estimator {name!r}")
     if "p_hat" not in estimators:
         estimators = ["p_hat"] + estimators
     kernels = [builtin_kernel(name) for name in _split_list(args.kernels)]
-    for option, names in (("--estimators", estimators),
-                          ("--kernels", [kern.name for kern in kernels])):
-        repeat = _repeated(names)
-        if repeat is not None:
-            raise _UsageError(f"{option} names {repeat!r} twice")
+    _columns(estimators, [kern.name for kern in kernels])
     k_values = _k_values(args)
-    # every argument is checked before the input is read
-    rows = read_csv(args.input, CsvFormat(header=header), top=max(k_values) + 1)
+    # every argument is checked before the input is read, and k against the
+    # full n after it: a k_max below 1 keeps one row, then fails that check
+    rows = read_csv(args.input, CsvFormat(header=header), top=max(k_values[-1], 0) + 1)
     for k in k_values:
         _check_k(k, rows.n)  # against the full n, which the top rows no longer have
     path = estimate_path(sort_with_concomitants(rows.sample), k_values, estimators, kernels)
@@ -201,7 +198,7 @@ def _cmd_simulate(args):
     with open(args.config, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # UnicodeDecodeError too
             raise ConfigError(f"invalid JSON in {args.config}: {exc}") from None
     config = SimulationConfig.from_json_dict(doc)
     if args.seed is not None:
@@ -209,12 +206,16 @@ def _cmd_simulate(args):
     env_workers = os.environ.get(WORKERS_ENV_VAR)
     if env_workers:
         try:
-            config = dataclasses.replace(config, workers=int(env_workers))
+            workers = int(env_workers)
         except ValueError:
             raise ConfigError(
                 f"{WORKERS_ENV_VAR} must be an integer, got {env_workers!r}"
             ) from None
-    result = run_simulation(config)
+        config = dataclasses.replace(config, workers=workers)
+    with warnings.catch_warnings():
+        # a model draw that overflows fails the run with its own error line
+        warnings.filterwarnings("ignore", "overflow", RuntimeWarning, r"censtail\.models")
+        result = run_simulation(config)
     json_path = stem + ".json"
     json_text = json.dumps(result.to_json_dict(), indent=2, sort_keys=True) + "\n"
     _write_atomic([(args.output, render_csv(result.to_table())), (json_path, json_text)])
@@ -256,26 +257,24 @@ _COMMANDS = {
 }
 
 
+def _fail(code, exc, label="error"):
+    """Print ``exc`` to stderr as one line, even where the message holds a
+    line break from an argument, and return ``code``."""
+    print(f"{label}: {' '.join(str(exc).splitlines())}", file=sys.stderr)
+    return code
+
+
 def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _fail(1, exc)
     except _DATA_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CensTailError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 3
+        return _fail(2, exc)
     except Exception as exc:  # pragma: no cover - safety net
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 3
+        return _fail(3, exc, "internal error")
 
 
 if __name__ == "__main__":

@@ -69,11 +69,12 @@ class DomainError(CensTailError):
     """A model parameter or quantile argument is outside its domain."""
 
 
-class ConfigError(CensTailError):
-    """A simulation configuration is invalid.
+class ConfigError(CensTailError, ValueError):
+    """A request or configuration is invalid.
 
     ``field`` names the offending entry using dotted-path notation, e.g.
-    ``model.loss.gamma1``.
+    ``model.loss.gamma1``, or an argument, e.g. ``estimators``.  It is a
+    ValueError too, as :func:`~censtail.estimate_path` documents.
     """
 
     def __init__(self, message, field=None):

@@ -27,6 +27,7 @@ from math import isnan
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DegenerateP,
     InvalidK,
     KernelAxiomViolation,
@@ -55,9 +56,22 @@ def _check_k(k, n, allow_n=False):
     return int(k)
 
 
-def _repeated(names):
-    """The first of ``names`` that an earlier entry already has, or None."""
-    return next((name for j, name in enumerate(names) if name in names[:j]), None)
+def _columns(estimators, kernel_names):
+    """The output column names of a request: the ``estimators``, then
+    ``kernel_<name>`` for each of ``kernel_names``.  An unknown estimator or
+    a column asked for twice is a ConfigError on its field."""
+    columns = []
+    for field, names, prefix in (("estimators", estimators, ""),
+                                 ("kernels", kernel_names, KERNEL_COLUMN_PREFIX)):
+        for name in names:
+            if field == "estimators" and name not in ESTIMATOR_NAMES:
+                raise ConfigError(f"unknown estimator {name!r}; choose from "
+                                  f"{', '.join(ESTIMATOR_NAMES)}", field=field)
+            if prefix + name in columns:
+                raise ConfigError(f"column {prefix + name!r} is requested twice",
+                                  field=field)
+            columns.append(prefix + name)
+    return columns
 
 
 def _check_kernel(kernel):
@@ -375,7 +389,8 @@ def estimate_path(sample, k_values, estimators=ESTIMATOR_NAMES, kernels=()):
         Any of "hill", "p_hat", "efg", "worms", "mns".
     kernels : iterable of Kernel
         Each adds a column named ``kernel_<name>``.  A column name may
-        appear only once.
+        appear only once: a repeat, like an unknown estimator, is a
+        ConfigError, which is a ValueError too.
 
     Returns
     -------
@@ -388,16 +403,8 @@ def estimate_path(sample, k_values, estimators=ESTIMATOR_NAMES, kernels=()):
     if any(b <= a for a, b in zip(k_list, k_list[1:])):
         raise InvalidK("k grid must be strictly ascending")
     names = [str(e) for e in estimators]
-    for name in names:
-        if name not in ESTIMATOR_NAMES:
-            raise ValueError(
-                f"unknown estimator {name!r}; choose from {ESTIMATOR_NAMES}"
-            )
     kernels = tuple(_check_kernel(kern) for kern in kernels)
-    columns = [*names, *(KERNEL_COLUMN_PREFIX + kern.name for kern in kernels)]
-    repeat = _repeated(columns)
-    if repeat is not None:
-        raise ValueError(f"column {repeat!r} is requested twice")
+    columns = _columns(names, [kern.name for kern in kernels])
     rows = _tail_path(sample, k_list, names, kernels)
     return EstimatePath(
         tuple(k_list),

@@ -491,11 +491,12 @@ def read_table(source):
     """Read a generic CSV table back as strings (first line is the header).
 
     Empty fields become None so that undefined estimator cells survive a
-    round trip.
+    round trip.  A row csv.reader refuses, or text that is not UTF-8, is a
+    ParseError, as in :func:`read_csv`.
     """
     stream, owned = _open_source(source)
     try:
-        reader = csv.reader(stream)
+        reader = _csv_rows(stream)
         try:
             columns = next(reader)
         except StopIteration:

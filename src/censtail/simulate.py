@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SimulationError, TooFewPoints, UnknownKernel
-from .estimators import ESTIMATOR_NAMES, KERNEL_COLUMN_PREFIX, _repeated, _tail_path
+from .estimators import _columns, _tail_path
 from .kernels import (
     BUILTIN_KERNEL_NAMES,
     Kernel,
@@ -69,7 +69,7 @@ class SimulationConfig:
                 f"replications must be >= 1, got {self.replications}",
                 field="replications",
             )
-        k_values = tuple(_integer(k, "k_values") for k in self.k_values)
+        k_values = tuple(_integer(k, "k_values") for k in _listed(self.k_values, "k_values"))
         if not k_values:
             raise ConfigError("k_values must be nonempty", field="k_values")
         if any(b <= a for a, b in zip(k_values, k_values[1:])):
@@ -78,20 +78,9 @@ class SimulationConfig:
             raise ConfigError(
                 f"k_values must lie within [1, {self.n - 1}]", field="k_values"
             )
-        estimators = tuple(str(e) for e in self.estimators)
-        for name in estimators:
-            if name not in ESTIMATOR_NAMES:
-                raise ConfigError(
-                    f"unknown estimator {name!r}", field="estimators"
-                )
-        kernels = tuple(_config_kernel(entry) for entry in self.kernels)
-        for field, names in (
-            ("estimators", estimators),
-            ("kernels", [getattr(entry, "name", entry) for entry in kernels]),
-        ):
-            repeat = _repeated(names)
-            if repeat is not None:
-                raise ConfigError(f"{repeat!r} appears twice in {field}", field=field)
+        estimators = tuple(str(e) for e in _listed(self.estimators, "estimators"))
+        kernels = tuple(_config_kernel(entry) for entry in _listed(self.kernels, "kernels"))
+        _columns(estimators, [getattr(entry, "name", entry) for entry in kernels])
         if not 0 <= self.master_seed < 2**64:
             raise ConfigError(
                 "master_seed must be an unsigned 64-bit integer", field="master_seed"
@@ -141,7 +130,7 @@ class SimulationConfig:
         model = _parse_model(_get(doc, "model", dict))
         n = _get(doc, "n", int)
         replications = _get(doc, "replications", int)
-        k_values = _parse_k(doc)
+        k_values = _parse_k(doc, n)
         optional = {
             key: doc[key]
             for key in ("estimators", "kernels", "master_seed", "workers")
@@ -161,6 +150,17 @@ def _integer(value, field):
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ConfigError(f"{field} must be an integer, got {value!r}", field=field)
     return int(value)
+
+
+def _listed(value, field):
+    """The entries of ``value`` as a tuple; a string, a dict or a value
+    that is not iterable is a ConfigError on ``field``."""
+    if not isinstance(value, (str, bytes, dict)):
+        try:
+            return tuple(value)
+        except TypeError:
+            pass
+    raise ConfigError(f"{field} must be a list, got {value!r}", field=field)
 
 
 def _config_kernel(entry):
@@ -189,7 +189,10 @@ def _get(doc, key, typ, path=""):
     if typ is int and isinstance(value, bool):
         raise ConfigError(f"field {full!r} must be an integer", field=full)
     if typ is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigError(f"field {full!r} is out of range", field=full) from None
     if not isinstance(value, typ):
         raise ConfigError(f"field {full!r} has the wrong type", field=full)
     return value
@@ -224,7 +227,7 @@ def _parse_model(doc):
     return ModelSpec(loss=loss, censor=censor)
 
 
-def _parse_k(doc):
+def _parse_k(doc, n):
     if "k_values" in doc:
         values = doc["k_values"]
         if not isinstance(values, list) or not all(isinstance(v, int) for v in values):
@@ -234,11 +237,17 @@ def _parse_k(doc):
         grid = _get(doc, "k_grid", dict)
         lo = _get(grid, "min", int, path="k_grid")
         hi = _get(grid, "max", int, path="k_grid")
-        step = grid.get("step", 1)
-        if not isinstance(step, int) or step < 1:
+        step = _get(grid, "step", int, path="k_grid") if "step" in grid else 1
+        if step < 1:
             raise ConfigError("k_grid.step must be a positive integer", field="k_grid.step")
         if hi < lo:
             raise ConfigError("k_grid.max must be >= k_grid.min", field="k_grid.max")
+        # checked before the grid is expanded, which a huge bound would not survive
+        if lo < 1:
+            raise ConfigError(f"k_grid.min must be >= 1, got {lo}", field="k_grid.min")
+        if hi > n - 1:
+            raise ConfigError(f"k_grid.max must be <= {n - 1} (n = {n}), got {hi}",
+                              field="k_grid.max")
         return tuple(range(lo, hi + 1, step))
     raise ConfigError("either k_values or k_grid is required", field="k_values")
 
@@ -346,10 +355,7 @@ def run_simulation(config):
     started = time.perf_counter()
     paths = _collect_paths(config)
     target = config.model.gamma1
-    names = (
-        *config.estimators,
-        *(KERNEL_COLUMN_PREFIX + kern.name for kern in config._kernel_objects()),
-    )
+    names = _columns(config.estimators, [kern.name for kern in config._kernel_objects()])
     cells = {}
     # one (replication x k) column at a time keeps the temporaries small
     for name, column in zip(names, np.moveaxis(paths, 1, 0)):
@@ -426,7 +432,7 @@ def normality_check(model, n, k, replications, kernel, master_seed=0, workers=1)
     )
     k = config.k_values[0]
     result = run_simulation(config)
-    agg = result.cells[KERNEL_COLUMN_PREFIX + kern.name][0]
+    agg = result.cells[result.column_names[0]][0]
     if agg.defined_count < 2:
         raise SimulationError("fewer than two defined replications")
     population_var = agg.mse - agg.bias**2

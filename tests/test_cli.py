@@ -4,6 +4,7 @@ import os
 import stat
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -226,6 +227,29 @@ class TestEstimate:
         assert "(n = 50)" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("k_args", [["--k-min", "1", "--k-max", str(10**15)],
+                                        ["--k", "-3"], ["--k-min", "-5", "--k-max", "-2"]],
+                             ids=["huge grid", "negative k", "negative grid"])
+    def test_out_of_range_k_is_a_data_error(self, tmp_path, capsys, k_args):
+        # the huge grid was expanded into a MemoryError, and a negative k
+        # asked read_csv for a negative top: both exited 3
+        data = tmp_path / "data.csv"
+        write_sample_csv(data, [(1, 1), (2, 1), (4, 1), (8, 1)])
+        out = tmp_path / "out.csv"
+        assert main(["estimate", "--input", str(data), "--output", str(out), *k_args]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "(n = 4)" in err[0]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
+
+    def test_error_with_a_line_break_is_one_line(self, tmp_path, capsys):
+        # argparse quotes no unrecognized argument, so its line break split the error
+        data = tmp_path / "data.csv"
+        write_sample_csv(data, [(1, 1), (2, 1), (4, 1), (8, 1)])
+        code = main(["estimate", "--input", str(data), "--output", str(tmp_path / "o.csv"),
+                     "--k", "2", "--unknown", "a\nb"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: unrecognized arguments: --unknown a b\n"
+
     def test_matches_library(self, tmp_path, rng):
         sample = make_censored(rng, n=60)
         data = tmp_path / "data.csv"
@@ -309,6 +333,66 @@ class TestSimulate:
                      "--output", str(tmp_path / "o.csv")])
         assert code == 1
 
+
+    def test_workers_env_var_zero_names_workers(self, tmp_path, capsys, monkeypatch):
+        config = small_sim_config(tmp_path)
+        monkeypatch.setenv("CENS_TAIL_THREADS", "0")
+        code = main(["simulate", "--config", str(config),
+                     "--output", str(tmp_path / "o.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: workers must be >= 1, got 0\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    @pytest.mark.parametrize("overrides, field", [
+        ({"estimators": None}, "estimators"),
+        ({"kernels": None}, "kernels"),
+        ({"estimators": 5}, "estimators"),
+        ({"k_grid": {"min": 1, "max": 10, "step": True}}, "k_grid.step"),
+        ({"k_grid": {"min": 1, "max": 10**15}}, "k_grid.max"),
+        ({"model": {"loss": {"family": "pareto", "gamma1": 10**400}}}, "model.loss.gamma1"),
+    ], ids=["null-estimators", "null-kernels", "int-estimators", "bool-step",
+            "huge-grid", "huge-int-gamma1"])
+    def test_bad_config_is_a_config_error(self, tmp_path, capsys, overrides, field):
+        # each of these exited 3, except the bool step, which ran as step 1
+        config = small_sim_config(tmp_path, **overrides)
+        if "k_grid" in overrides:  # k_values would take precedence
+            doc = json.loads(config.read_text(encoding="utf-8"))
+            del doc["k_values"]
+            config.write_text(json.dumps(doc), encoding="utf-8")
+        code = main(["simulate", "--config", str(config),
+                     "--output", str(tmp_path / "o.csv")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and field in err[0]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    @pytest.mark.parametrize("prefix", [b"\xff", b"[" * 100_000],
+                             ids=["not utf-8", "nested too deep"])
+    def test_unreadable_config_is_a_config_error(self, tmp_path, capsys, prefix):
+        config = small_sim_config(tmp_path)
+        config.write_bytes(prefix + config.read_bytes())
+        code = main(["simulate", "--config", str(config),
+                     "--output", str(tmp_path / "o.csv")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: invalid JSON in ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_model_whose_draws_overflow_is_a_data_error(self, tmp_path, capsys):
+        # the inf draw was a SimulationError (exit 3) after a numpy warning line
+        config = small_sim_config(tmp_path, model={
+            "loss": {"family": "burr", "gamma1": 0.4, "eta": 0.25},
+            "censor": {"family": "frechet", "gamma2": 7e16},
+        })
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["simulate", "--config", str(config),
+                         "--output", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert caught == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: simulation replication failed")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     def test_json_output_path_rejected_before_running(self, tmp_path, capsys):
         config = small_sim_config(tmp_path)

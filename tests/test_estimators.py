@@ -23,7 +23,7 @@ from censtail import (
     sort_with_concomitants,
     worms,
 )
-from censtail.errors import DegenerateP, InvalidK, ZeroSurvivalAtThreshold
+from censtail.errors import ConfigError, DegenerateP, InvalidK, ZeroSurvivalAtThreshold
 from conftest import make_censored, make_complete
 
 
@@ -306,6 +306,17 @@ class TestEstimatePath:
                                     (("hill",), (BIWEIGHT, named_biweight))):
             with pytest.raises(ValueError, match="twice"):
                 estimate_path(sample, [2, 5], estimators, kernels)
+
+    def test_column_errors_name_their_field(self, rng):
+        sample = make_censored(rng, n=20)
+        for estimators, kernels, field in ((("hill", "nope"), (), "estimators"),
+                                           (("mns", "hill", "mns"), (), "estimators"),
+                                           (("mns",), (BIWEIGHT, builtin_kernel("k2")),
+                                            "kernels")):
+            with pytest.raises(ConfigError) as err:
+                estimate_path(sample, [2, 5], estimators, kernels)
+            assert err.value.field == field
+            assert isinstance(err.value, ValueError)
 
     def test_nan_rejected_in_path(self):
         with pytest.raises(ValueError):

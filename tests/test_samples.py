@@ -545,6 +545,18 @@ class TestWriteCsv:
             assert np.array_equal(back.z, sample.z)
             assert np.array_equal(back.delta, sample.delta)
 
+    @pytest.mark.parametrize("content, row", [
+        (b"k,hill\n1,0.5\n2," + b"1" * 200_000 + b"\n", 3),
+        (b"k,hill\n1,\xff\n", None),
+    ], ids=["field over the csv limit", "not utf-8"])
+    def test_unreadable_table_is_a_parse_error(self, tmp_path, content, row):
+        # read_table raised a bare csv.Error and a UnicodeDecodeError here
+        path = tmp_path / "table.csv"
+        path.write_bytes(content)
+        with pytest.raises(ParseError) as err:
+            read_table(path)
+        assert err.value.row == row
+
     def test_sample_write_read_identity_at_1e5_rows(self, rng, tmp_path):
         path = tmp_path / "sample.csv"
         sample = make_censored(rng, n=100_000, allow_ties=True)

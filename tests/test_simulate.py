@@ -172,6 +172,52 @@ class TestConfig:
             SimulationConfig.from_json_dict(doc)
         assert err.value.field == "schema"
 
+    @pytest.mark.parametrize("field", ["k_values", "estimators", "kernels"])
+    @pytest.mark.parametrize("value", [None, 5, "mns", {"mns": 1}])
+    def test_list_field_that_is_not_a_list_is_config_error(self, field, value):
+        # None and 5 raised a TypeError, and a string was read letter by letter
+        with pytest.raises(ConfigError) as err:
+            small_config(**{field: value})
+        assert err.value.field == field
+        doc = small_config().to_json_dict()
+        doc[field] = value
+        with pytest.raises(ConfigError) as err:
+            SimulationConfig.from_json_dict(doc)
+        assert err.value.field == field
+
+    def test_column_errors_are_value_errors_with_the_field(self):
+        with pytest.raises(ValueError, match="unknown estimator 'nope'") as err:
+            small_config(estimators=("hill", "nope"))
+        assert err.value.field == "estimators"
+        with pytest.raises(ValueError, match="'kernel_biweight' is requested twice") as err:
+            small_config(kernels=("biweight", "k2"))
+        assert err.value.field == "kernels"
+
+    @pytest.mark.parametrize("grid, field", [
+        ({"min": 1, "max": 10, "step": True}, "k_grid.step"),
+        ({"min": 1, "max": 10, "step": 2.0}, "k_grid.step"),
+        ({"min": 1, "max": 10**15}, "k_grid.max"),
+        ({"min": -10**15, "max": 10}, "k_grid.min"),
+        ({"min": 0, "max": 10}, "k_grid.min"),
+        ({"min": 10, "max": 120}, "k_grid.max"),
+    ], ids=["bool-step", "float-step", "huge-max", "huge-negative-min", "zero-min",
+            "max-at-n"])
+    def test_bad_k_grid_is_rejected_before_expansion(self, grid, field):
+        # a bool step ran as step 1, and a huge bound expanded into a MemoryError
+        doc = small_config().to_json_dict()
+        del doc["k_values"]
+        doc["k_grid"] = grid
+        with pytest.raises(ConfigError) as err:
+            SimulationConfig.from_json_dict(doc)
+        assert err.value.field == field
+
+    def test_integer_too_large_for_a_float_is_config_error(self):
+        doc = small_config().to_json_dict()
+        doc["model"]["loss"]["gamma1"] = 10**400
+        with pytest.raises(ConfigError) as err:
+            SimulationConfig.from_json_dict(doc)
+        assert err.value.field == "model.loss.gamma1"
+
 
 class TestRunSimulation:
     def test_single_replication_equals_path(self):
