@@ -1,33 +1,24 @@
 """Command-line front door: estimate from CSV, run simulations, kernel tools.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 data error,
-3 internal error.  No output file is written on an error path.
+Exit codes: 0 success, 1 usage or configuration error (``UsageError``),
+2 data error (``DataError``, or an ``OSError`` on an input, configuration or
+output path), 3 internal error.  No output file is written on an error path.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import errno
 import json
 import os
+import stat
 import sys
 import tempfile
 import warnings
 
-from .errors import (
-    ConfigError,
-    DegenerateP,
-    DomainError,
-    EmptySample,
-    InvalidIndicator,
-    InvalidK,
-    InvalidSpec,
-    NonPositiveObservation,
-    ParseError,
-    SimulationError,
-    UnknownKernel,
-    ZeroSurvivalAtThreshold,
-)
+from .errors import ConfigError, DataError, UsageError
 from .estimators import ESTIMATOR_NAMES, _check_k, _columns, estimate_path
 from .kernels import (
     BUILTIN_KERNEL_NAMES,
@@ -43,29 +34,9 @@ from .simulate import SimulationConfig, run_simulation
 WORKERS_ENV_VAR = "CENS_TAIL_THREADS"
 
 
-class _UsageError(Exception):
-    pass
-
-
-_USAGE_ERRORS = (_UsageError, ConfigError, InvalidSpec, UnknownKernel, DomainError)
-_DATA_ERRORS = (
-    ParseError,
-    InvalidIndicator,
-    NonPositiveObservation,
-    EmptySample,
-    InvalidK,
-    DegenerateP,
-    ZeroSurvivalAtThreshold,
-    SimulationError,  # a replication failed on the values the model drew
-    FileNotFoundError,
-    IsADirectoryError,
-    PermissionError,
-)
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise UsageError(message)
 
 
 def _build_parser():
@@ -129,42 +100,62 @@ def _split_list(text):
 def _k_values(args):
     if args.k is not None:
         if args.k_min is not None or args.k_max is not None:
-            raise _UsageError("--k and --k-min/--k-max are mutually exclusive")
+            raise UsageError("--k and --k-min/--k-max are mutually exclusive")
         return [args.k]
     if args.k_min is None or args.k_max is None:
-        raise _UsageError("either --k or both --k-min and --k-max are required")
+        raise UsageError("either --k or both --k-min and --k-max are required")
     if args.k_step < 1:
-        raise _UsageError("--k-step must be >= 1")
+        raise UsageError("--k-step must be >= 1")
     if args.k_max < args.k_min:
-        raise _UsageError("--k-max must be >= --k-min")
+        raise UsageError("--k-max must be >= --k-min")
     return range(args.k_min, args.k_max + 1, args.k_step)
 
 
-def _write_atomic(outputs):
-    """Write each (path, text) pair through a same-directory temp file, then
-    rename them all into place, so a failure never leaves an output behind.
+@contextlib.contextmanager
+def _naming(path):
+    """Re-raise an OSError as one on ``path``, the output path as given, not
+    on the temp file or the resolved target it may name."""
+    try:
+        yield
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
 
-    Outputs get the mode a plain ``open()`` would give them (0o666 less the
-    umask), not the 0o600 of the temp file.
+
+def _write_atomic(outputs):
+    """Write each (path, text) pair through a temp file next to the path's
+    target, then rename them all into place, so a failure never leaves an
+    output behind.
+
+    A symlink is written through to its target, as a plain ``open()`` would
+    write it.  An existing path that is not a regular file, such as a
+    directory, a FIFO or a device, is refused before any rename and never
+    opened.  Outputs get the mode a plain ``open()`` would give them (0o666
+    less the umask), not the 0o600 of the temp file.
     """
     umask = os.umask(0)
     os.umask(umask)
+    targets = [os.path.realpath(path) for path, _ in outputs]
     temps, done = [], []
     try:
-        for path, text in outputs:
-            fd, tmp = tempfile.mkstemp(
-                dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp"
-            )
-            temps.append(tmp)
-            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-            os.chmod(tmp, 0o666 & ~umask)
-        for tmp, (path, _) in zip(temps, outputs):
-            try:
-                os.replace(tmp, path)
-            except OSError as exc:  # it names the temp file too, which is gone below
-                raise OSError(exc.errno, exc.strerror, path) from None
-            done.append(path)
+        for (path, text), target in zip(outputs, targets):
+            with _naming(path):
+                try:
+                    mode = os.stat(target).st_mode
+                except FileNotFoundError:
+                    mode = stat.S_IFREG
+                if stat.S_ISDIR(mode):
+                    raise OSError(errno.EISDIR, os.strerror(errno.EISDIR))
+                if not stat.S_ISREG(mode):
+                    raise OSError(errno.EEXIST, "exists and is not a regular file")
+                fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), suffix=".tmp")
+                temps.append(tmp)
+                with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+                    fh.write(text)
+                os.chmod(tmp, 0o666 & ~umask)
+        for tmp, (path, _), target in zip(temps, outputs, targets):
+            with _naming(path):
+                os.replace(tmp, target)
+            done.append(target)
     except BaseException:
         for name in temps[len(done):] + done:
             if os.path.exists(name):
@@ -193,8 +184,8 @@ def _cmd_estimate(args):
 def _cmd_simulate(args):
     stem, ext = os.path.splitext(args.output)
     if ext.lower() == ".json":
-        raise _UsageError("--output must not end in .json: the JSON result "
-                          "document is written next to the CSV")
+        raise UsageError("--output must not end in .json: the JSON result "
+                         "document is written next to the CSV")
     with open(args.config, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -269,9 +260,9 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except _USAGE_ERRORS as exc:
+    except UsageError as exc:
         return _fail(1, exc)
-    except _DATA_ERRORS as exc:
+    except (DataError, OSError) as exc:  # OSError: an input, config or output path
         return _fail(2, exc)
     except Exception as exc:  # pragma: no cover - safety net
         return _fail(3, exc, "internal error")

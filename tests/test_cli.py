@@ -423,6 +423,86 @@ class TestSimulate:
         assert not any((tmp_path / "results.json").iterdir())
 
 
+class TestPaths:
+    """Every OSError on an input, config or output path is a data error."""
+
+    @pytest.fixture
+    def data(self, tmp_path):
+        data = tmp_path / "data.csv"
+        write_sample_csv(data, [(1, 1), (2, 1), (4, 1), (8, 1)])
+        return data
+
+    @pytest.mark.parametrize("command, name", [
+        ("estimate", "--input"), ("estimate", "--output"), ("simulate", "--config"),
+    ])
+    @pytest.mark.parametrize("bad", ["file-as-directory", "long-name"])
+    def test_odd_path_is_a_data_error(self, tmp_path, capsys, data, command, name, bad):
+        # a NotADirectoryError or an ENAMETOOLONG OSError exited 3 here
+        config = small_sim_config(tmp_path)
+        path = str(data / "x.csv") if bad == "file-as-directory" else str(tmp_path / ("a" * 300))
+        argv = {"estimate": ["--input", str(data), "--k", "2"],
+                "simulate": ["--config", str(config)]}[command]
+        argv += ["--output", str(tmp_path / "out.csv")]
+        argv[argv.index(name) + 1] = path
+        code = main([command, *argv])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert repr(path) in err[0] and ".tmp" not in err[0]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "data.csv"]
+
+    def test_symlink_output_is_written_through(self, tmp_path, data):
+        target = tmp_path / "target.csv"
+        target.write_text("old\n", encoding="utf-8")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        code = main(["estimate", "--input", str(data), "--output", str(link), "--k", "2"])
+        assert code == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_text(encoding="utf-8").startswith("k,p_hat,")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "link.csv",
+                                                             "target.csv"]
+
+    def test_dangling_symlink_output_creates_its_target(self, tmp_path, data):
+        link = tmp_path / "link.csv"
+        link.symlink_to("target.csv")
+        code = main(["estimate", "--input", str(data), "--output", str(link), "--k", "2"])
+        assert code == 0
+        assert link.is_symlink()
+        assert (tmp_path / "target.csv").read_text(encoding="utf-8").startswith("k,p_hat,")
+
+    @pytest.mark.parametrize("command", ["estimate", "simulate"])
+    def test_fifo_output_is_refused(self, tmp_path, capsys, data, command):
+        # the FIFO was replaced by a regular file, and the command exited 0
+        config = small_sim_config(tmp_path)
+        out = tmp_path / "out.csv"
+        fifo = tmp_path / ("out.csv" if command == "estimate" else "out.json")
+        os.mkfifo(fifo)
+        argv = (["estimate", "--input", str(data), "--k", "2"] if command == "estimate"
+                else ["simulate", "--config", str(config)])
+        code = main([*argv, "--output", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: [Errno 17] exists and is not a regular file: {str(fifo)!r}"]
+        assert stat.S_ISFIFO(fifo.lstat().st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["config.json", "data.csv", fifo.name])
+
+    def test_directory_json_output_keeps_an_existing_csv(self, tmp_path, capsys):
+        # the CSV was renamed over results.csv, then deleted when the JSON failed
+        config = small_sim_config(tmp_path)
+        out = tmp_path / "results.csv"
+        out.write_text("kept\n", encoding="utf-8")
+        (tmp_path / "results.json").mkdir()
+        code = main(["simulate", "--config", str(config), "--output", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: [Errno 21] Is a directory: {str(tmp_path / 'results.json')!r}\n")
+        assert out.read_text(encoding="utf-8") == "kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "config.json", "results.csv", "results.json"]
+
+
 class TestMoments:
     def test_closed_form_output(self, capsys):
         code = main([

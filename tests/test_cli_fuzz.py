@@ -2,10 +2,13 @@
 
 Whatever the request, ``censtail`` exits 0, 1 (usage or configuration
 error) or 2 (data error), never 3; a failure prints exactly one line, which
-starts with ``error:``; and no output or temp file is left behind.
+starts with ``error:``; and no output or temp file is left behind.  That
+holds for odd input, config and output paths too, and every error class is
+of exactly one of the two kinds the exit codes are mapped from.
 """
 
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -15,6 +18,7 @@ import warnings
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from censtail import errors
 from censtail.cli import main
 
 HUGE = (10**15, -(10**15), 10**400)
@@ -173,3 +177,96 @@ def test_estimate_exit_codes(k_options, options, content):
             argv += [option, {"--input": data, "--output": out}.get(option, value)]
         code, err = _run(argv)
         _check(code, err, directory, ["in.csv"], ["out.csv"])
+
+
+# odd paths for --input, --config and --output; a FIFO is left out, as
+# opening one for reading blocks
+ODD_PATHS = ["missing-directory", "file-as-directory", "directory", "long-name",
+             "symlink", "dangling-symlink"]
+
+
+def _odd_path(directory, name, kind, real):
+    """Make a path of ``kind`` named after ``name`` in ``directory`` and
+    return it.  ``real`` is the regular file that a symlink points to or
+    that stands in for a directory."""
+    if kind == "missing-directory":
+        return os.path.join(directory, "missing", "x.csv")
+    if kind == "file-as-directory":
+        return os.path.join(real, "x.csv")
+    if kind == "long-name":
+        return os.path.join(directory, "a" * 300)
+    path = os.path.join(directory, f"{name}-{kind}")
+    if kind == "directory":
+        os.mkdir(path)
+    else:
+        os.symlink(real if kind == "symlink" else os.path.join(directory, "nowhere"), path)
+    return path
+
+
+def _written(directory, paths):
+    """The names that writing each of ``paths`` with a plain ``open()`` would
+    add to ``directory``: a symlink is written through to its target."""
+    return sorted({os.path.basename(os.path.realpath(path)) for path in paths}
+                  - set(os.listdir(directory)))
+
+
+def _with_odd_paths(directory, argv, kinds):
+    """``argv`` with each option in ``kinds`` given an odd path of that kind;
+    the real file behind an odd --output is a pre-existing ``target.csv``."""
+    argv = list(argv)
+    with open(os.path.join(directory, "target.csv"), "w", encoding="utf-8") as fh:
+        fh.write("old\n")
+    for option, kind in kinds.items():
+        if kind is not None:
+            at = argv.index(option) + 1
+            real = argv[at] if option != "--output" else os.path.join(directory, "target.csv")
+            argv[at] = _odd_path(directory, option.lstrip("-"), kind, real)
+    return argv
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=config_documents(),
+       config_kind=st.sampled_from([None, *ODD_PATHS]),
+       output_kind=st.sampled_from([None, *ODD_PATHS]))
+def test_simulate_path_exit_codes(doc, config_kind, output_kind, monkeypatch):
+    monkeypatch.delenv("CENS_TAIL_THREADS", raising=False)
+    with tempfile.TemporaryDirectory() as directory:
+        config = os.path.join(directory, "config.json")
+        with open(config, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        argv = _with_odd_paths(directory, ["simulate", "--config", config, "--output",
+                                           os.path.join(directory, "out.csv")],
+                               {"--config": config_kind, "--output": output_kind})
+        out = argv[-1]
+        outputs = _written(directory, [out, os.path.splitext(out)[0] + ".json"])
+        inputs = os.listdir(directory)
+        code, err = _run(argv)
+        _check(code, err, directory, inputs, outputs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k_options=_K_OPTIONS, content=_INPUTS,
+       input_kind=st.sampled_from([None, *ODD_PATHS]),
+       output_kind=st.sampled_from([None, *ODD_PATHS]))
+def test_estimate_path_exit_codes(k_options, content, input_kind, output_kind):
+    with tempfile.TemporaryDirectory() as directory:
+        data = os.path.join(directory, "in.csv")
+        with open(data, "wb") as fh:
+            fh.write(content)
+        argv = _with_odd_paths(directory, ["estimate", "--input", data, "--output",
+                                           os.path.join(directory, "out.csv"), *k_options],
+                               {"--input": input_kind, "--output": output_kind})
+        outputs = _written(directory, [argv[argv.index("--output") + 1]])
+        inputs = os.listdir(directory)
+        code, err = _run(argv)
+        _check(code, err, directory, inputs, outputs)
+
+
+def test_every_error_is_of_exactly_one_kind():
+    kinds = (errors.UsageError, errors.DataError)
+    classes = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+               if cls not in (errors.CensTailError, *kinds)]
+    assert len(classes) >= 14
+    for cls in classes:
+        assert sum(issubclass(cls, kind) for kind in kinds) == 1, cls.__name__

@@ -73,6 +73,13 @@ class TestHill:
             with pytest.raises(InvalidK):
                 hill(sample, k)
 
+    @pytest.mark.parametrize("k", [True, np.bool_(True), 2.0, "2"],
+                             ids=["bool", "numpy-bool", "float", "str"])
+    def test_non_integer_k_is_invalid(self, k):
+        # True ran as k = 1
+        with pytest.raises(InvalidK, match="must be an integer"):
+            hill(sample_of([1, 2, 4, 8], [1, 1, 1, 1]), k)
+
     def test_consistent_on_pareto(self):
         # statistical sanity: median absolute error below 0.05 at n=1e4
         gamma1 = 1.0
@@ -317,6 +324,25 @@ class TestEstimatePath:
                 estimate_path(sample, [2, 5], estimators, kernels)
             assert err.value.field == field
             assert isinstance(err.value, ValueError)
+
+    def test_bool_k_in_the_grid_is_invalid(self, rng):
+        # [True, 2] ran at k = (1, 2)
+        with pytest.raises(InvalidK, match="must be an integer"):
+            estimate_path(make_censored(rng, n=10), [True, 2])
+
+    def test_path_rejects_non_integer_k(self):
+        # (1.7, 2.2) was truncated to (1, 2)
+        with pytest.raises(InvalidK, match="must be an integer"):
+            EstimatePath((1.7, 2.2), {"hill": (0.5, 0.4)})
+
+    @pytest.mark.parametrize("k_values, estimates, error, message", [
+        ((0, 1), {"hill": (0.5, 0.4)}, InvalidK, ">= 1"),
+        ((2, 2), {"hill": (0.5, 0.4)}, InvalidK, "strictly ascending"),
+        ((1, 2), {"hill": (0.5,)}, ValueError, "length mismatch"),
+    ], ids=["k-below-1", "not-ascending", "short-column"])
+    def test_path_checks(self, k_values, estimates, error, message):
+        with pytest.raises(error, match=message):
+            EstimatePath(k_values, estimates)
 
     def test_nan_rejected_in_path(self):
         with pytest.raises(ValueError):

@@ -149,6 +149,14 @@ class TestValidation:
         with pytest.raises(InvalidIndicator):
             CensoredSample(np.array([1.0]), np.array([0.5]))
 
+    @pytest.mark.parametrize("z, delta, message", [
+        (np.ones((2, 2)), np.ones((2, 2)), "one-dimensional"),
+        (np.ones(3), np.ones(2), "lengths differ"),
+    ], ids=["2-d", "unequal-lengths"])
+    def test_shape_errors(self, z, delta, message):
+        with pytest.raises(ValueError, match=message):
+            CensoredSample(z, delta)
+
     def test_arrays_are_frozen(self):
         sample = CensoredSample(np.array([1.0, 2.0]), np.array([1, 0]))
         with pytest.raises(ValueError):
@@ -556,6 +564,13 @@ class TestWriteCsv:
         with pytest.raises(ParseError) as err:
             read_table(path)
         assert err.value.row == row
+
+    def test_empty_table_file_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_bytes(b"")
+        with pytest.raises(ParseError, match="no header line") as err:
+            read_table(path)
+        assert err.value.row == 1
 
     def test_sample_write_read_identity_at_1e5_rows(self, rng, tmp_path):
         path = tmp_path / "sample.csv"

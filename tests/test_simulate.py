@@ -21,7 +21,7 @@ from censtail import (
     sample_censored,
     sort_with_concomitants,
 )
-from censtail.errors import ConfigError, TooFewPoints
+from censtail.errors import ConfigError, SimulationError, TooFewPoints
 from censtail.simulate import _collect_paths
 
 CENSORED_MODEL = ModelSpec(loss=Burr(0.4, 0.25), censor=Frechet(3.6))
@@ -76,6 +76,14 @@ class TestConfig:
         ("n", 50.5), ("replications", True), ("workers", 2.0),
     ])
     def test_non_integer_is_config_error(self, field, value):
+        with pytest.raises(ConfigError) as err:
+            small_config(**{field: value})
+        assert err.value.field == field
+
+    @pytest.mark.parametrize("field, value", [
+        ("model", Burr(0.4, 0.25)), ("n", 1), ("k_values", ()),
+    ], ids=["model-not-a-modelspec", "n-below-2", "empty-k-values"])
+    def test_invalid_field_is_config_error(self, field, value):
         with pytest.raises(ConfigError) as err:
             small_config(**{field: value})
         assert err.value.field == field
@@ -165,6 +173,18 @@ class TestConfig:
             SimulationConfig.from_json_dict(doc)
         assert err.value.field == "model.loss.gamma1"
 
+    def test_document_that_is_not_an_object(self):
+        with pytest.raises(ConfigError) as err:
+            SimulationConfig.from_json_dict([small_config().to_json_dict()])
+        assert err.value.field == ""
+
+    def test_document_without_k_values_or_k_grid(self):
+        doc = small_config().to_json_dict()
+        del doc["k_values"]
+        with pytest.raises(ConfigError, match="k_values or k_grid") as err:
+            SimulationConfig.from_json_dict(doc)
+        assert err.value.field == "k_values"
+
     def test_bad_schema(self):
         doc = small_config().to_json_dict()
         doc["schema"] = "something-else/9"
@@ -200,8 +220,10 @@ class TestConfig:
         ({"min": -10**15, "max": 10}, "k_grid.min"),
         ({"min": 0, "max": 10}, "k_grid.min"),
         ({"min": 10, "max": 120}, "k_grid.max"),
+        ({"min": 1, "max": 10, "step": 0}, "k_grid.step"),
+        ({"min": 10, "max": 5}, "k_grid.max"),
     ], ids=["bool-step", "float-step", "huge-max", "huge-negative-min", "zero-min",
-            "max-at-n"])
+            "max-at-n", "zero-step", "max-below-min"])
     def test_bad_k_grid_is_rejected_before_expansion(self, grid, field):
         # a bool step ran as step 1, and a huge bound expanded into a MemoryError
         doc = small_config().to_json_dict()
@@ -452,6 +474,10 @@ class TestNormalityCheck:
         want = normality_check(model, 300, 10, 30, "biweight", master_seed=1)
         assert got == want
         assert type(got.n) is int and type(got.k) is int
+
+    def test_fewer_than_two_defined_replications(self):
+        with pytest.raises(SimulationError, match="fewer than two"):
+            normality_check(ModelSpec(loss=Pareto(1.0)), 100, 5, 1, "biweight")
 
     def test_unverified_kernel_is_config_error(self):
         raw = Kernel("raw", k=np.ones_like, g_prime=np.ones_like, g_second=np.zeros_like)

@@ -190,6 +190,15 @@ class TestStepCurve:
         with pytest.raises(ValueError):
             StepCurve(np.array([-1.0]), np.array([0.5]), True)
 
+    @pytest.mark.parametrize("jumps, values, message", [
+        ([3.0, 2.0, 1.0], [0.6, 0.4, 0.2], "strictly ascending"),
+        ([1.0, 1.0], [0.6, 0.4], "strictly ascending"),
+        ([1.0, 2.0], [0.6], "equal length"),
+    ], ids=["descending-jumps", "repeated-jump", "unequal-lengths"])
+    def test_validation_messages(self, jumps, values, message):
+        with pytest.raises(ValueError, match=message):
+            StepCurve(np.array(jumps), np.array(values), True)
+
     def test_vectorized_evaluation(self):
         curve = StepCurve(np.array([1.0, 2.0]), np.array([0.6, 0.2]), True)
         out = curve.survival(np.array([0.5, 1.0, 1.5, 2.0, 3.0]))
