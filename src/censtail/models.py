@@ -13,8 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-from .samples import CensoredSample
+from .errors import DomainError, NonPositiveObservation
+from .samples import CensoredSample, _RunningTop, _unchecked, top_order_statistics
+
+_BLOCK_ROWS = 1 << 16  # uniforms per block of _top_sample, as read_csv parses rows
 
 
 def _as_prob(u, lo_open, name="u"):
@@ -30,6 +32,13 @@ def _scalar_like(u, out):
     if np.ndim(u) == 0:
         return float(out)
     return out
+
+
+def _integer(value, name):
+    """``value`` as a Python int; a boolean or a non-integer is a DomainError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -120,21 +129,6 @@ class Frechet:
         return _scalar_like(u, out)
 
 
-def burr_quantile(u, gamma1, eta):
-    """Inverse of the Burr cdf: ((1-u)^(-gamma1/eta) - 1)^eta, u in [0, 1)."""
-    return Burr(gamma1, eta).quantile(u)
-
-
-def frechet_quantile(u, gamma2):
-    """Inverse of the Frechet cdf: (-log u)^(-gamma2), u in (0, 1)."""
-    return Frechet(gamma2).quantile(u)
-
-
-def pareto_quantile(u, gamma1):
-    """Inverse of the Pareto cdf: (1-u)^(-gamma1), u in [0, 1)."""
-    return Pareto(gamma1).quantile(u)
-
-
 def gamma2_from_p(gamma1, p):
     """Censoring tail index giving upper uncensored proportion p.
 
@@ -189,14 +183,15 @@ class RngStream:
     stream_index: int = 0
 
     def __post_init__(self):
-        if not 0 <= int(self.master_seed) < 2**64:
-            raise DomainError("master_seed must be an unsigned 64-bit integer")
-        if not 0 <= int(self.stream_index) < 2**64:
-            raise DomainError("stream_index must be an unsigned 64-bit integer")
+        for field in ("master_seed", "stream_index"):
+            value = _integer(getattr(self, field), field)
+            if not 0 <= value < 2**64:
+                raise DomainError(f"{field} must be an unsigned 64-bit integer")
+            object.__setattr__(self, field, value)
 
     def generator(self):
         """A fresh numpy Generator positioned at the start of the stream."""
-        key = (int(self.stream_index) << 64) | int(self.master_seed)
+        key = (self.stream_index << 64) | self.master_seed
         return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -220,7 +215,7 @@ def sample_censored(spec, n, rng):
     uniforms are consumed before the censoring uniforms, so the output is a
     deterministic function of ``(spec, n, rng)``.
     """
-    if n < 1:
+    if _integer(n, "sample size") < 1:
         raise DomainError(f"sample size must be >= 1, got {n}")
     gen = rng.generator()
     x = spec.loss.quantile(_open_unit(gen, n))
@@ -230,3 +225,118 @@ def sample_censored(spec, n, rng):
     z = np.minimum(x, c)
     delta = (x <= c).astype(np.int8)
     return CensoredSample(z, delta)
+
+
+def _top_sample(spec, n, m, rng):
+    """``top_order_statistics(sample_censored(spec, n, rng), m)``, bit for
+    bit, drawn without holding the n rows.
+
+    The uniforms come in blocks (:func:`_unit_blocks`) and each block is
+    merged into a running top, so a call takes O(m + block) memory and time
+    still grows with n.  With complete data the running top is kept in
+    u-space and only its uniforms go through the quantile
+    (:func:`_complete_top`); censored blocks are transformed whole
+    (:func:`_transformed_top`).  ``sample_censored`` redraws an exact zero
+    uniform from the draws after the whole n-block, which moves every later
+    draw, so a replication that draws one is drawn by ``sample_censored``
+    itself.
+    """
+    if spec.censor is None:
+        top = _complete_top(spec, n, m, rng)
+    else:
+        top = _transformed_top(spec, n, m, rng)
+    if top is None:  # a zero uniform
+        return top_order_statistics(sample_censored(spec, n, rng), m)
+    return top
+
+
+def _unit_blocks(rng, n, censored):
+    """The uniforms of :func:`sample_censored` before its zero redraws, as
+    (loss, censor) pairs of blocks of at most ``_BLOCK_ROWS``; censor is None
+    for complete data.
+
+    The loss uniforms are positions [0, n) of the stream and the censor
+    uniforms positions [n, 2n).  One block draws both runs in one call.
+    Otherwise a second generator on the same stream draws the censor
+    uniforms in step with the loss ones: ``advance`` moves it by blocks of
+    four draws, and the n % 4 draws left are drawn and discarded.
+    """
+    gen = rng.generator()
+    if n <= _BLOCK_ROWS:
+        u = gen.random(2 * n if censored else n)
+        yield u[:n], u[n:] if censored else None
+        return
+    if censored:
+        censor_gen = rng.generator()
+        censor_gen.bit_generator.advance(n // 4)
+        censor_gen.random(n % 4)
+    for start in range(0, n, _BLOCK_ROWS):
+        size = min(_BLOCK_ROWS, n - start)
+        yield gen.random(size), censor_gen.random(size) if censored else None
+
+
+def _transformed_top(spec, n, m, rng):
+    """The top m rows by the quantile of every uniform, merged block by
+    block; None once a zero uniform is drawn.
+
+    Every block is checked as :class:`~censtail.samples.CensoredSample`
+    checks the whole sample, before any of its rows is dropped.  After a
+    failing block the stream is still searched for zeros, because a zero
+    loss uniform further on would move every censor uniform and so change
+    the sample that failed.
+    """
+    kept, bad = _RunningTop(m), False
+    for u_loss, u_censor in _unit_blocks(rng, n, spec.censor is not None):
+        if not u_loss.all() or (u_censor is not None and not u_censor.all()):
+            return None
+        if bad:
+            continue
+        x = spec.loss.quantile(u_loss)
+        if u_censor is None:
+            z, delta = x, np.ones(x.size, dtype=np.int8)
+        else:
+            c = spec.censor.quantile(u_censor)
+            z, delta = np.minimum(x, c), (x <= c).astype(np.int8)
+        bad = not (np.isfinite(z).all() and (z > 0).all())
+        if not bad:
+            kept.add(z, delta)
+    if bad:
+        raise NonPositiveObservation("all observations must be finite and strictly positive")
+    return _unchecked(*kept.rows())
+
+
+def _complete_top(spec, n, m, rng):
+    """The top m rows of complete data, found among the uniforms before the
+    quantile is taken; None once a zero uniform is drawn.
+
+    The quantile is increasing, so the rows it ranks highest come from the
+    highest uniforms, and only the running top m + 1 of the uniforms is
+    transformed.  Each block first drops the uniforms below ``cut``, above
+    which about 8(m + 1) of the n lie.  That spares the running top a copy
+    and a partition of the whole block, a copy that malloc can map and
+    unmap on every replication.  Every block is transformed instead
+    (:func:`_transformed_top`) when fewer than m + 1 uniforms pass ``cut``,
+    and when a guard fails: the lowest kept uniform, the largest outside
+    the top m, must map strictly below every row of the top m, which
+    rounding could break at a tie, and the smallest uniform of all must map
+    to a finite positive value, as then every dropped one does.
+    """
+    kept, low, cut = _RunningTop(m + 1), 1.0, 1.0 - 8.0 * (m + 1) / n
+    for u, _ in _unit_blocks(rng, n, False):
+        low = min(low, u.min())
+        kept.add(u[u >= cut])
+    if low == 0.0:
+        return None
+    (u,) = kept.rows()
+    if u.size < min(m + 1, n):
+        return _transformed_top(spec, n, m, rng)
+    x = spec.loss.quantile(np.append(u, low))
+    ok = np.isfinite(x).all() and (x > 0).all()
+    x = x[:-1]
+    if ok and u.size > m:
+        top = u > u.min()
+        ok = np.count_nonzero(top) >= m and x[~top].max() < x[top].min()
+        x = x[top]
+    if not ok:
+        return _transformed_top(spec, n, m, rng)
+    return top_order_statistics(_unchecked(x, np.ones(x.size, dtype=np.int8)), m)

@@ -162,11 +162,65 @@ def top_order_statistics(sample, m):
         start = np.searchsorted(z, z[lo])
         z, delta = z[start:], delta[start:]
     else:
-        top = z >= np.partition(z, lo)[lo]
+        top = _top_mask(z, m)
         z, delta = z[top], delta[top]
     out = object.__new__(type(sample))  # rows of a validated sample, in its order
     _store(out, z, delta)
     return out
+
+
+def _top_mask(z, m):
+    """Which entries of ``z`` are among its m largest, or tied with the m-th
+    largest: the selection of :func:`top_order_statistics`, for m < z.size."""
+    lo = z.size - m
+    return z >= np.partition(z, lo)[lo]
+
+
+class _RunningTop:
+    """The rows of a sequence of row blocks that :func:`top_order_statistics`
+    with m would select from all of them, kept while the blocks come.
+
+    A row is a value of ``z`` with the entries at its position in any
+    arrays that travel with it.  Rows below the m-th largest value kept so
+    far are dropped from each block as it comes, and the kept rows are cut
+    back to their own top once they reach 2m: the m-th largest of some rows
+    is never above that of all of them, so no dropped row belongs to the
+    final selection.  Memory stays at about 2m rows plus a block.  With m
+    None every row is kept.  ``n`` counts the rows added.
+    """
+
+    def __init__(self, m):
+        self.m, self.n = m, 0
+        self._parts, self._kept, self._floor = [], 0, -np.inf
+
+    def add(self, z, *rest):
+        self.n += z.size
+        arrays = (z, *rest)
+        if self._floor > -np.inf:
+            rows = z >= self._floor
+            arrays = tuple(a[rows] for a in arrays)
+        self._parts.append(tuple(np.ascontiguousarray(a) for a in arrays))
+        self._kept += arrays[0].size
+        if self.m is not None and self._kept >= 2 * self.m:
+            self._cut()
+
+    def rows(self):
+        """The kept arrays, ``z`` first, with their rows in the order added:
+        those of ``top_order_statistics`` of every row added."""
+        if self.m is not None and self._kept > self.m:
+            self._cut()
+        return self._joined()
+
+    def _joined(self):
+        if len(self._parts) > 1:
+            self._parts = [tuple(np.concatenate(a) for a in zip(*self._parts))]
+        return self._parts[0]
+
+    def _cut(self):
+        arrays = self._joined()
+        rows = _top_mask(arrays[0], self.m)
+        arrays = tuple(a[rows] for a in arrays)
+        self._parts, self._kept, self._floor = [arrays], arrays[0].size, arrays[0].min()
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +326,8 @@ def _read_path_fast(path, fmt, top=None):
 
     loadtxt reads ``_BLOCK_ROWS`` rows at a time from the open file and the
     next call goes on where it stopped, so no n-row table is ever made.
-    With ``top``, rows below the ``top``-th largest of the rows kept so far
-    are dropped from each block as it comes, and the kept rows are cut back
-    to their own top once they reach twice ``top``: the ``top``-th largest
-    of some rows is never above that of all of them, so no dropped row
-    belongs to the final selection.
+    With ``top``, each block is merged into a :class:`_RunningTop` as it
+    comes, which keeps about twice ``top`` rows.
     """
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
@@ -284,7 +335,7 @@ def _read_path_fast(path, fmt, top=None):
         if not line or '"' in line or "\x00" in line:
             return None
         skip = int(_is_header(line.split(","), fmt))
-        n, kept, floor = 0, [], -np.inf
+        kept = _RunningTop(top)
         with open(path, "r", encoding="utf-8-sig") as fh, warnings.catch_warnings():
             # past the last row loadtxt warns and reads nothing
             warnings.simplefilter("ignore", UserWarning)
@@ -298,18 +349,11 @@ def _read_path_fast(path, fmt, top=None):
                 if not (np.isfinite(z).all() and (z > 0).all()
                         and ((delta == 0) | (delta == 1)).all()):
                     return None
-                n += z.size
-                if top is not None:
-                    rows = z >= floor
-                    z, delta = z[rows], delta[rows]
-                kept.append(_unchecked(np.ascontiguousarray(z), delta.astype(np.int8)))
-                if top is not None and sum(part.n for part in kept) >= 2 * top:
-                    kept = [top_order_statistics(_joined(kept), top)]
-                    floor = kept[0].z.min()
-        if n == 0 or _longest_line(path) > csv.field_size_limit():
+                kept.add(z, delta.astype(np.int8))
+        if kept.n == 0 or _longest_line(path) > csv.field_size_limit():
             return None  # no data rows is the scanner's EmptySample
-        sample = _joined(kept)
-        return sample if top is None else TopRows(n, top_order_statistics(sample, top))
+        sample = _unchecked(*kept.rows())
+        return sample if top is None else TopRows(kept.n, sample)
     except Exception:  # any failure leaves the verdict, and the error, to the scanner
         return None
 
@@ -319,14 +363,6 @@ def _unchecked(z, delta):
     out = object.__new__(CensoredSample)
     _store(out, z, delta)
     return out
-
-
-def _joined(parts):
-    """The CensoredSample of the rows of ``parts`` in order."""
-    if len(parts) == 1:
-        return parts[0]
-    return _unchecked(np.concatenate([part.z for part in parts]),
-                      np.concatenate([part.delta for part in parts]))
 
 
 def _longest_line(path, chunk=1 << 20):

@@ -24,7 +24,7 @@ from .kernels import (
     asymptotic_variance,
     builtin_kernel,
 )
-from .models import Burr, Frechet, ModelSpec, Pareto, RngStream, sample_censored
+from .models import Burr, Frechet, ModelSpec, Pareto, RngStream, _top_sample
 from .samples import Table
 
 CONFIG_SCHEMA = "censtail-sim-config/1"
@@ -306,9 +306,10 @@ def _replicate_paths(config, r_start, r_stop):
     """Estimate arrays for replications r_start..r_stop-1 (1-based streams),
     stacked as (replication, column, k) with NaN for undefined cells."""
     kernels = config._kernel_objects()
+    top = config.k_values[-1] + 1  # the rows _tail_path reads
     out = []
     for r in range(r_start, r_stop):
-        sample = sample_censored(config.model, config.n, RngStream(config.master_seed, r))
+        sample = _top_sample(config.model, config.n, top, RngStream(config.master_seed, r))
         out.append(_tail_path(sample, config.k_values, config.estimators, kernels))
     return np.stack(out)
 

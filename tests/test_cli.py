@@ -591,3 +591,36 @@ def test_estimate_and_simulate_do_not_load_quadrature(tmp_path):
     assert result.returncode == 0, result.stderr
     # 1.875^2 times the integral of (1 - s^2)^4 over (0, 1), which is 128/315
     assert float(result.stdout.split()[-1]) == pytest.approx(10 / 7, abs=1e-12)
+
+
+# VmHWM, the peak RSS of this program image; ru_maxrss would also count the
+# forked copy of the test process that the child was exec'd from
+_PEAK_PROBE = """
+import sys
+from censtail.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))  # KiB
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+@pytest.mark.parametrize("censor", [{"family": "frechet", "gamma2": 3.6}, None],
+                         ids=["censored", "complete"])
+def test_simulate_memory_does_not_grow_with_n(tmp_path, censor):
+    """Each replication keeps its running top, not its n = 10^7 rows (80 MB
+    for the values alone)."""
+    config = small_sim_config(tmp_path, n=10**7, replications=2, k_values=[10, 100],
+                              model={"loss": {"family": "burr", "gamma1": 0.4, "eta": 0.25},
+                                     "censor": censor})
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(_SRC), env.get("PYTHONPATH"))))
+    env.pop("CENS_TAIL_THREADS", None)
+    result = subprocess.run(
+        [sys.executable, "-c", _PEAK_PROBE, "simulate", "--config", str(config),
+         "--output", str(tmp_path / "sim.csv")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout.split()[-1]) < 100 * 1024

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from censtail import (
     Burr,
@@ -9,25 +11,25 @@ from censtail import (
     ModelSpec,
     Pareto,
     RngStream,
-    burr_quantile,
-    frechet_quantile,
     gamma2_from_p,
     hill,
     p_hat,
-    pareto_quantile,
     sample_censored,
     sort_with_concomitants,
+    top_order_statistics,
     upper_uncensored_proportion,
 )
-from censtail.errors import DomainError
+from censtail import models
+from censtail.errors import DomainError, NonPositiveObservation
+from censtail.models import _top_sample
 
 
 class TestBurr:
     def test_quantile_at_zero(self):
-        assert burr_quantile(0.0, 0.4, 0.25) == 0.0
+        assert Burr(0.4, 0.25).quantile(0.0) == 0.0
 
     def test_median_matches_cdf_round_trip(self):
-        x = burr_quantile(0.5, 0.4, 0.25)
+        x = Burr(0.4, 0.25).quantile(0.5)
         assert x == pytest.approx((2**1.6 - 1) ** 0.25, abs=1e-12)
         assert Burr(0.4, 0.25).cdf(x) == pytest.approx(0.5, abs=1e-12)
 
@@ -43,17 +45,17 @@ class TestBurr:
         with pytest.raises(DomainError):
             Burr(0.4, -1.0)
         with pytest.raises(DomainError):
-            burr_quantile(1.0, 0.4, 0.25)
+            Burr(0.4, 0.25).quantile(1.0)
         with pytest.raises(DomainError):
-            burr_quantile(-0.1, 0.4, 0.25)
+            Burr(0.4, 0.25).quantile(-0.1)
 
 
 class TestFrechet:
     def test_unit_quantile_at_exp_minus_one(self):
-        assert frechet_quantile(math.exp(-1.0), 0.6) == pytest.approx(1.0, abs=1e-12)
+        assert Frechet(0.6).quantile(math.exp(-1.0)) == pytest.approx(1.0, abs=1e-12)
 
     def test_median(self):
-        assert frechet_quantile(0.5, 0.6) == pytest.approx(
+        assert Frechet(0.6).quantile(0.5) == pytest.approx(
             math.log(2) ** -0.6, abs=1e-12
         )
 
@@ -65,11 +67,11 @@ class TestFrechet:
 
     def test_monotone_to_zero(self):
         us = np.array([1e-12, 1e-8, 1e-4, 1e-2])
-        xs = frechet_quantile(us, 0.6)
+        xs = Frechet(0.6).quantile(us)
         assert np.all(np.diff(xs) > 0)
         assert xs[0] > 0.0
         with pytest.raises(DomainError):
-            frechet_quantile(0.0, 0.6)
+            Frechet(0.6).quantile(0.0)
 
 
 class TestPareto:
@@ -79,7 +81,7 @@ class TestPareto:
         assert np.allclose(model.cdf(model.quantile(grid)), grid, atol=1e-12)
 
     def test_support_starts_at_one(self):
-        assert pareto_quantile(0.0, 2.0) == 1.0
+        assert Pareto(2.0).quantile(0.0) == 1.0
 
 
 class TestGamma2FromP:
@@ -124,6 +126,18 @@ class TestRngStream:
         with pytest.raises(DomainError):
             RngStream(0, -2)
 
+    # a float seed drew the stream of its integer part, and True ran as 1
+    @pytest.mark.parametrize("seed, index", [(1.5, 2), (True, True), (1, 2.0), ("1", 2)],
+                             ids=["float-seed", "bool-both", "float-index", "str-seed"])
+    def test_rejects_non_integers(self, seed, index):
+        with pytest.raises(DomainError, match="must be an integer"):
+            RngStream(seed, index)
+
+    def test_numpy_integers_are_stored_as_int(self):
+        stream = RngStream(np.uint64(42), np.int64(3))
+        assert type(stream.master_seed) is int and type(stream.stream_index) is int
+        assert np.array_equal(stream.generator().random(4), RngStream(42, 3).generator().random(4))
+
 
 class TestSampleCensored:
     def test_complete_data_all_uncensored(self):
@@ -150,6 +164,13 @@ class TestSampleCensored:
         spec = ModelSpec(loss=Pareto(1.0))
         with pytest.raises(DomainError):
             sample_censored(spec, 0, RngStream(1, 1))
+
+    # each was a bare TypeError from numpy or from the comparison with 1
+    @pytest.mark.parametrize("n", [10.5, True, "5"], ids=["float", "bool", "str"])
+    def test_rejects_non_integer_size(self, n):
+        spec = ModelSpec(loss=Burr(0.4, 0.25), censor=Frechet(3.6))
+        with pytest.raises(DomainError, match="sample size must be an integer"):
+            sample_censored(spec, n, RngStream(1, 1))
 
     def test_top_censoring_rate_near_limit(self):
         # censored fraction among the top order statistics approaches 1 - p
@@ -183,3 +204,152 @@ class TestSampleCensored:
         sample = sort_with_concomitants(sample_censored(spec, 500, RngStream(3, 1)))
         value = hill(sample, 50)
         assert np.isfinite(value) and value > 0
+
+
+# models for the block sampler: censored and complete, and two whose values
+# tie (gamma 1e-15 leaves few distinct values), so that tie blocks straddle
+# the cuts and the complete-data guard fails
+TOP_MODELS = [
+    ModelSpec(loss=Burr(0.4, 0.25), censor=Frechet(3.6)),
+    ModelSpec(loss=Burr(0.4, 0.25), censor=Frechet(0.6)),
+    ModelSpec(loss=Pareto(1e-15), censor=Frechet(1e-15)),
+    ModelSpec(loss=Pareto(1.0)),
+    ModelSpec(loss=Pareto(0.05)),
+    ModelSpec(loss=Burr(1.5, 2.0)),
+    ModelSpec(loss=Pareto(1e-15)),
+]
+
+
+def whole_top(spec, n, m, rng):
+    return top_order_statistics(sample_censored(spec, n, rng), m)
+
+
+def assert_same_rows(got, want):
+    assert got.z.tobytes() == want.z.tobytes()
+    assert got.delta.tobytes() == want.delta.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(TOP_MODELS), st.integers(1, 21), st.integers(1, 21),
+       st.integers(0, 2**64 - 1), st.integers(1, 50))
+def test_top_sample_is_the_top_of_the_whole_sample(spec, n, m, seed, index):
+    """Drawn in blocks of 7, so up to three blocks merge, the top rows are
+    those of the whole sample, for m = n as well."""
+    m = min(m, n)
+    rng = RngStream(seed, index)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(models, "_BLOCK_ROWS", 7)
+        got, got_all = _top_sample(spec, n, m, rng), _top_sample(spec, n, n, rng)
+    assert_same_rows(got, whole_top(spec, n, m, rng))
+    assert_same_rows(got_all, whole_top(spec, n, n, rng))
+
+
+class _Stream:
+    """An RngStream stand-in whose generators draw ``values`` in order."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def generator(self):
+        return _Generator(self.values)
+
+
+class _Generator:
+    def __init__(self, values):
+        self.values, self.position, self.bit_generator = values, 0, self
+
+    def advance(self, blocks):  # as Philox counts: four draws a block
+        self.position += 4 * blocks
+
+    def random(self, size):
+        start, self.position = self.position, self.position + size
+        return self.values[start:self.position].copy()
+
+
+class TestTopSample:
+    @pytest.mark.parametrize("spec", TOP_MODELS[::3], ids=["censored", "complete", "ties"])
+    @pytest.mark.parametrize("n", [(1 << 16) - 1, 1 << 16, (1 << 16) + 1, 3 << 16])
+    def test_full_blocks(self, spec, n):
+        for m in (1, 101):
+            assert_same_rows(_top_sample(spec, n, m, RngStream(5, 2)),
+                             whole_top(spec, n, m, RngStream(5, 2)))
+
+    @pytest.mark.parametrize("zeros", [(0,), (3, 4), (13, 20), (21,), (30, 41), (5, 25)],
+                             ids=["loss-first", "loss-pair", "loss-blocks", "censor-first",
+                                  "censor-blocks", "both"])
+    @pytest.mark.parametrize("spec", TOP_MODELS[::3], ids=["censored", "complete", "ties"])
+    def test_zero_uniforms_are_redrawn_as_sample_censored_does(self, monkeypatch, spec,
+                                                              zeros):
+        # n = 21 in blocks of 7: positions 0-20 are the losses, 21-41 the censors
+        monkeypatch.setattr(models, "_BLOCK_ROWS", 7)
+        values = RngStream(8, 1).generator().random(60)
+        values[list(zeros)] = 0.0
+        for m in (1, 4, 21):
+            want = whole_top(spec, 21, m, _Stream(values))
+            assert_same_rows(_top_sample(spec, 21, m, _Stream(values)), want)
+
+    def test_a_failing_guard_transforms_every_block(self, monkeypatch):
+        # gamma 3e-16 maps neighbouring uniforms to one value: the top m + 1
+        # uniforms do not decide the top m values
+        transformed = []
+        whole = models._transformed_top
+
+        def recording(*args):
+            transformed.append(args)
+            return whole(*args)
+
+        monkeypatch.setattr(models, "_transformed_top", recording)
+        monkeypatch.setattr(models, "_BLOCK_ROWS", 7)
+        spec = ModelSpec(loss=Pareto(3e-16))
+        for seed in range(1, 6):
+            assert_same_rows(_top_sample(spec, 20, 10, RngStream(seed, 1)),
+                             whole_top(spec, 20, 10, RngStream(seed, 1)))
+        assert len(transformed) == 5
+        transformed.clear()
+        _top_sample(ModelSpec(loss=Pareto(1.0)), 20, 3, RngStream(1, 1))
+        assert transformed == []
+
+    def test_a_top_below_the_cut_transforms_every_block(self, monkeypatch):
+        # n = 1000, m = 10: the cut keeps uniforms above 0.912, here only five
+        transformed = []
+        whole = models._transformed_top
+        monkeypatch.setattr(models, "_transformed_top",
+                            lambda *args: transformed.append(args) or whole(*args))
+        values = RngStream(4, 1).generator().random(1000) * 0.9
+        values[[3, 200, 201, 650, 999]] = [0.95, 0.99, 0.93, 0.97, 0.96]
+        spec = ModelSpec(loss=Pareto(1.0))
+        assert_same_rows(_top_sample(spec, 1000, 10, _Stream(values)),
+                         whole_top(spec, 1000, 10, _Stream(values)))
+        assert len(transformed) == 1
+
+    @pytest.mark.parametrize("block", [7, 1 << 16])
+    def test_underflow_below_the_top_still_fails(self, monkeypatch, block):
+        # Burr(0.1, 100) underflows to 0 for all but the highest uniforms
+        monkeypatch.setattr(models, "_BLOCK_ROWS", block)
+        spec = ModelSpec(loss=Burr(0.1, 100.0))
+        rng = RngStream(1, 1)
+        u = np.sort(rng.generator().random(1000))
+        assert spec.loss.quantile(u[0]) == 0 and (spec.loss.quantile(u[-10:]) > 0).all()
+        with pytest.raises(NonPositiveObservation):
+            sample_censored(spec, 1000, rng)
+        with pytest.raises(NonPositiveObservation):
+            _top_sample(spec, 1000, 10, rng)
+
+    def test_a_failing_block_waits_for_a_later_zero(self, monkeypatch):
+        """A zero loss uniform moves every censor uniform by one, so the one
+        that failed may leave the sample: a failing block is final only once
+        the stream has no zero."""
+        monkeypatch.setattr(models, "_BLOCK_ROWS", 7)
+        spec = ModelSpec(loss=Burr(0.4, 0.25), censor=Frechet(1000.0))
+        values = RngStream(3, 1).generator().random(60)
+        values[21:] = 0.5 + values[21:] / 2  # censor values 10^159 or more: z = x
+        values[21] = 0.01  # censors row 0 at 0, unless a redraw takes it
+        values[15] = 0.0  # the loss redraw that takes it
+        with np.errstate(over="ignore"):
+            want = whole_top(spec, 21, 5, _Stream(values))
+            assert_same_rows(_top_sample(spec, 21, 5, _Stream(values)), want)
+            values[15] = 0.3
+            with pytest.raises(NonPositiveObservation):
+                sample_censored(spec, 21, _Stream(values))
+            with pytest.raises(NonPositiveObservation):
+                _top_sample(spec, 21, 5, _Stream(values))
