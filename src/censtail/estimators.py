@@ -99,9 +99,16 @@ def _suffix_sums(x):
     counted from the top: a running sum inside each block plus the sum of
     the totals of the blocks above.  That keeps the rounding error to about
     the block size plus the block count, not the length, and makes every
-    sum the same to the last bit however far down the array reaches.
+    sum the same to the last bit however far down the array reaches.  A
+    last axis of at most one block is one running sum from the top, with
+    the same bits: the zero padding of the block and the block totals add
+    nothing to it.
     """
     *lead, m = x.shape
+    sums = np.zeros((*lead, m + 1), x.dtype)
+    if m <= _SUM_BLOCK:
+        np.cumsum(x[..., ::-1], axis=-1, out=sums[..., :m][..., ::-1])
+        return sums
     count = -(-m // _SUM_BLOCK)
     blocks = np.zeros((*lead, count * _SUM_BLOCK), x.dtype)
     blocks[..., :m] = x[..., ::-1]
@@ -109,7 +116,6 @@ def _suffix_sums(x):
     totals = blocks.sum(axis=-1)
     np.cumsum(blocks, axis=-1, out=blocks)
     blocks[..., 1:, :] += np.cumsum(totals, axis=-1)[..., :-1, None]
-    sums = np.zeros((*lead, m + 1), x.dtype)
     sums[..., :m] = blocks.reshape(*lead, count * _SUM_BLOCK)[..., m - 1::-1]
     return sums
 
@@ -126,9 +132,10 @@ def _top_view(sample, lo):
     return top.z, top.delta
 
 
-def _view_survival(z, hazard):
-    """Nelson-Aalen and Kaplan-Meier survival at each order statistic of a
-    top view, each up to a constant factor.
+def _view_survival(z, hazard, with_km):
+    """Nelson-Aalen and, if ``with_km``, Kaplan-Meier survival at each order
+    statistic of a top view, each up to a constant factor; None in place of
+    Kaplan-Meier otherwise.
 
     ``hazard`` is delta / i with i the rank from the top.  Nelson-Aalen at
     z is exp(-H) with H the hazards of the tie blocks strictly below z, so
@@ -141,12 +148,14 @@ def _view_survival(z, hazard):
     zeroes the top block instead.
     """
     start, end = _tie_blocks(z)
+    size = end - start
+    if not with_km:
+        return np.repeat(np.exp(_suffix_sums(hazard)[start]), size), None
     log_factor = np.append(np.log1p(-hazard[:-1]), 0.0)
     na_sums, km_sums = _suffix_sums(np.stack((hazard, log_factor)))
     km = np.exp(-km_sums[end])
     if hazard[-1]:
         km[-1] = 0.0
-    size = end - start
     return np.repeat(np.exp(na_sums[start]), size), np.repeat(km, size)
 
 
@@ -177,7 +186,8 @@ def _tail_path(sample, k_list, names=(), kernels=()):
     These are the defining sums of log(Z_l / Z_t) rearranged by summation
     by parts, so every term is nonnegative and no two large sums cancel.
     KM and NA enter only as ratios, so :func:`_view_survival` gives them up
-    to a factor, from the view alone.  As every sum runs from the top down,
+    to a factor, from the view alone; KM is computed only when ``worms`` is
+    requested, as no other row reads it.  As every sum runs from the top down,
     no cell depends on the rest of the grid: each equals its scalar
     estimator bit for bit.  Kernels without ``g_prime_coefficients`` are
     evaluated one k at a time instead.
@@ -203,7 +213,7 @@ def _tail_path(sample, k_list, names=(), kernels=()):
     entries = [INDICATOR if name == "mns" else name for name in names] + list(kernels)
     kerns = {e for e in entries if isinstance(e, Kernel)}
     if "worms" in wanted or kerns:
-        na, km = _view_survival(z, hazard)
+        na, km = _view_survival(z, hazard, "worms" in wanted)
     if "worms" in wanted:
         km_t = km[t]
         values["worms"] = np.divide(_suffix_sums(km[:-1] * spacing)[t], km_t,

@@ -9,6 +9,7 @@ parallel and serial runs bit-identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -305,32 +306,67 @@ def _transformed_top(spec, n, m, rng):
     return _unchecked(*kept.rows())
 
 
+def _word_blocks(rng, n):
+    """The loss stream of :func:`_unit_blocks` for complete data as the
+    generator's raw 64-bit words, in the same blocks.
+
+    For Philox ``Generator.random`` is the word shifted right by 11 times
+    2^-53 (:func:`_uniforms`), one word a draw, so the words order the
+    uniforms and a word below 2^11 is a zero uniform.
+    """
+    raw = rng.generator().bit_generator.random_raw
+    for start in range(0, n, _BLOCK_ROWS):
+        yield raw(min(_BLOCK_ROWS, n - start))
+
+
+def _uniforms(words):
+    """The uniforms ``Generator.random`` makes of raw Philox ``words``."""
+    return (words >> 11) * 2.0**-53
+
+
+def _cut_word(m, n):
+    """The smallest raw word whose uniform is at least ``cut`` =
+    1 - 8(m + 1)/n, the pre-filter of :func:`_complete_top`.
+
+    It is ceil(cut * 2^53) shifted left by 11: 0 when cut <= 0, so that
+    every word passes, and 2^64, which no word reaches, when cut rounds to
+    1.0 (n > 2^57 (m + 1)).  A Python int, so it neither wraps nor
+    overflows.
+    """
+    cut = 1.0 - 8.0 * (m + 1) / n
+    return math.ceil(max(cut, 0.0) * 2.0**53) << 11
+
+
 def _complete_top(spec, n, m, rng):
     """The top m rows of complete data, found among the uniforms before the
     quantile is taken; None once a zero uniform is drawn.
 
     The quantile is increasing, so the rows it ranks highest come from the
     highest uniforms, and only the running top m + 1 of the uniforms is
-    transformed.  Each block first drops the uniforms below ``cut``, above
-    which about 8(m + 1) of the n lie.  That spares the running top a copy
-    and a partition of the whole block, a copy that malloc can map and
-    unmap on every replication.  Every block is transformed instead
-    (:func:`_transformed_top`) when fewer than m + 1 uniforms pass ``cut``,
-    and when a guard fails: the lowest kept uniform, the largest outside
-    the top m, must map strictly below every row of the top m, which
-    rounding could break at a tie, and the smallest uniform of all must map
-    to a finite positive value, as then every dropped one does.
+    transformed.  The stream is read as raw words (:func:`_word_blocks`),
+    and each block first drops the words below the cut word
+    (:func:`_cut_word`), above which about 8(m + 1) of the n lie; only
+    the words that pass become uniforms.  That spares the running top a
+    copy and a partition of the whole block, a copy that malloc can map
+    and unmap on every replication.  Every block is transformed instead
+    (:func:`_transformed_top`) when fewer than m + 1 uniforms pass the
+    cut, and when a guard fails: the lowest kept uniform, the largest
+    outside the top m, must map strictly below every row of the top m,
+    which rounding could break at a tie, and the smallest uniform of all
+    must map to a finite positive value, as then every dropped one does.
     """
-    kept, low, cut = _RunningTop(m + 1), 1.0, 1.0 - 8.0 * (m + 1) / n
-    for u, _ in _unit_blocks(rng, n, False):
-        low = min(low, u.min())
-        kept.add(u[u >= cut])
-    if low == 0.0:
+    kept, low, cut = _RunningTop(m + 1), 1 << 64, _cut_word(m, n)
+    if cut >> 64:  # no word passes
+        return _transformed_top(spec, n, m, rng)
+    for words in _word_blocks(rng, n):
+        low = min(low, int(words.min()))
+        kept.add(_uniforms(words[words >= cut]))
+    if low >> 11 == 0:
         return None
     (u,) = kept.rows()
     if u.size < min(m + 1, n):
         return _transformed_top(spec, n, m, rng)
-    x = spec.loss.quantile(np.append(u, low))
+    x = spec.loss.quantile(np.append(u, _uniforms(low)))
     ok = np.isfinite(x).all() and (x > 0).all()
     x = x[:-1]
     if ok and u.size > m:

@@ -8,6 +8,10 @@ read off fully built step curves.
 ``KERNEL_FORMULAS`` holds K, g' and g'' of each built-in kernel as
 hand-expanded formulas on the support, the reference for the coefficient
 table in :mod:`censtail.kernels`.
+
+``blocked_suffix_sums`` is the blocked suffix-sum algorithm of
+``censtail.estimators._suffix_sums`` for every length, the reference for
+its one-block shortcut.
 """
 
 import numpy as np
@@ -90,3 +94,20 @@ class _TailArrays:
         i = np.arange(1, k + 1, dtype=float)
         return float(np.sum((d / i) * ratios * kern.g_prime(ratios) * logs))
 
+
+
+def blocked_suffix_sums(x, block=256):
+    """Sums of x[..., i:] for every i, plus a trailing 0, along the last
+    axis: reversed, zero-padded to whole blocks, a running sum inside each
+    block plus the sum of the totals of the blocks above."""
+    *lead, m = x.shape
+    count = -(-m // block)
+    blocks = np.zeros((*lead, count * block), x.dtype)
+    blocks[..., :m] = x[..., ::-1]
+    blocks = blocks.reshape(*lead, count, block)
+    totals = blocks.sum(axis=-1)
+    np.cumsum(blocks, axis=-1, out=blocks)
+    blocks[..., 1:, :] += np.cumsum(totals, axis=-1)[..., :-1, None]
+    sums = np.zeros((*lead, m + 1), x.dtype)
+    sums[..., :m] = blocks.reshape(*lead, count * block)[..., m - 1::-1]
+    return sums

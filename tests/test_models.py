@@ -138,6 +138,18 @@ class TestRngStream:
         assert type(stream.master_seed) is int and type(stream.stream_index) is int
         assert np.array_equal(stream.generator().random(4), RngStream(42, 3).generator().random(4))
 
+    def test_philox_random_is_the_raw_word_shifted(self):
+        """Complete data picks its top on raw words (models._uniforms): a
+        numpy release that changed how Generator.random makes a double of a
+        Philox word would fail here instead of moving the simulator's draws."""
+        key = (3 << 64) | 42
+        gen = np.random.Generator(np.random.Philox(key=key))
+        raw = np.random.Philox(key=key)
+        for size in (3, 20_001, 5):
+            got, words = gen.random(size), raw.random_raw(size)
+            assert got.tobytes() == ((words >> 11) * 2.0**-53).tobytes(), size
+            assert got.tobytes() == models._uniforms(words).tobytes(), size
+
 
 class TestSampleCensored:
     def test_complete_data_all_uncensored(self):
@@ -245,7 +257,8 @@ def test_top_sample_is_the_top_of_the_whole_sample(spec, n, m, seed, index):
 
 
 class _Stream:
-    """An RngStream stand-in whose generators draw ``values`` in order."""
+    """An RngStream stand-in whose generators draw ``values`` in order,
+    rounded to multiples of 2^-53 as every ``Generator.random`` draw is."""
 
     def __init__(self, values):
         self.values = values
@@ -255,15 +268,25 @@ class _Stream:
 
 
 class _Generator:
+    """Holds the values as Philox words and serves them as Philox does:
+    ``random_raw`` gives the words, ``random`` (word >> 11) * 2^-53.  The
+    11 low bits, which ``random`` drops, are all set, so that the word of a
+    zero uniform is not 0."""
+
     def __init__(self, values):
-        self.values, self.position, self.bit_generator = values, 0, self
+        words = np.round(np.asarray(values) * 2.0**53).astype(np.uint64) << 11
+        self.words = words | 0x7FF
+        self.position, self.bit_generator = 0, self
 
     def advance(self, blocks):  # as Philox counts: four draws a block
         self.position += 4 * blocks
 
-    def random(self, size):
+    def random_raw(self, size):
         start, self.position = self.position, self.position + size
-        return self.values[start:self.position].copy()
+        return self.words[start:self.position].copy()
+
+    def random(self, size):
+        return (self.random_raw(size) >> 11) * 2.0**-53
 
 
 class TestTopSample:
@@ -321,6 +344,30 @@ class TestTopSample:
         assert_same_rows(_top_sample(spec, 1000, 10, _Stream(values)),
                          whole_top(spec, 1000, 10, _Stream(values)))
         assert len(transformed) == 1
+
+    @pytest.mark.parametrize("m, n", [(1, 1000), (10, 1000), (53, 20_000), (100, 10**7),
+                                      (1, 2**40), (1, 17), (10, 100), (5, 7), (1, 16)])
+    def test_the_cut_word_is_the_first_word_of_a_uniform_at_the_cut(self, m, n):
+        cut = 1.0 - 8.0 * (m + 1) / n
+        word = models._cut_word(m, n)
+        if cut <= 0:
+            assert word == 0
+        else:
+            assert word % 2048 == 0 and 0 < word < 2**64
+            assert models._uniforms(np.uint64(word)) >= cut
+            assert models._uniforms(np.uint64(word - 1)) < cut
+
+    def test_a_cut_that_rounds_to_one_passes_no_word(self, monkeypatch):
+        # n = 2^62, m = 1: 1 - 16 / 2^62 rounds to 1.0, and ceil(2^53) << 11 is 2^64
+        assert 1.0 - 8.0 * 2 / 2**62 == 1.0
+        assert models._cut_word(1, 2**62) == 2**64
+        transformed = []
+        monkeypatch.setattr(models, "_transformed_top",
+                            lambda *args: transformed.append(args) or "transformed")
+        monkeypatch.setattr(models, "_word_blocks", lambda *args: pytest.fail("drawn"))
+        spec = ModelSpec(loss=Pareto(1.0))
+        assert models._complete_top(spec, 2**62, 1, RngStream(1, 1)) == "transformed"
+        assert transformed == [(spec, 2**62, 1, RngStream(1, 1))]
 
     @pytest.mark.parametrize("block", [7, 1 << 16])
     def test_underflow_below_the_top_still_fails(self, monkeypatch, block):

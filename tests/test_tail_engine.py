@@ -34,13 +34,14 @@ from censtail import (
 )
 from censtail.errors import DegenerateP, ZeroSurvivalAtThreshold
 from censtail.estimators import (
+    _SUM_BLOCK,
     ESTIMATOR_NAMES,
     _suffix_sums,
     _tail_path,
     _top_view,
     _view_survival,
 )
-from reference_impl import _TailArrays
+from reference_impl import _TailArrays, blocked_suffix_sums
 
 TOL = 1e-12
 
@@ -229,7 +230,7 @@ def test_view_survival_matches_curve_ratios():
             start = n - z.size
             assert start <= lo and z[0] == sample.z[lo]
             assert start == 0 or sample.z[start - 1] < z[0]
-            na, km = _view_survival(z, delta / np.arange(z.size, 0, -1))
+            na, km = _view_survival(z, delta / np.arange(z.size, 0, -1), True)
             want_na = na_curve[start:]
             assert np.allclose(na[None, :] / na[:, None], want_na[None, :] / want_na[:, None],
                                rtol=1e-13, atol=0)
@@ -292,6 +293,22 @@ def test_suffix_sums():
     assert _suffix_sums(np.array([3], dtype=np.int64)).tolist() == [3, 0]
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.int64], ids=["float64", "int64"])
+@pytest.mark.parametrize("lead", [(), (2,), (3,)], ids=["1d", "2-rows", "3-rows"])
+def test_suffix_sums_match_the_blocked_algorithm(lead, dtype):
+    """Bit for bit, one block (the running-sum shortcut) or more, for every
+    length from 0 to three blocks and one, 256 and 257 among them."""
+    rng = np.random.default_rng(256)
+    for m in range(3 * _SUM_BLOCK + 2):
+        if dtype is np.int64:
+            x = rng.integers(-2**40, 2**40, (*lead, m))
+        else:  # magnitudes apart, so that the order of the additions shows
+            x = rng.standard_normal((*lead, m)) * 10.0 ** rng.integers(-8, 9, (*lead, m))
+        got, want = _suffix_sums(x), blocked_suffix_sums(x, _SUM_BLOCK)
+        assert got.dtype == want.dtype and got.shape == want.shape == (*lead, m + 1)
+        assert got.tobytes() == want.tobytes(), m
+
+
 @pytest.mark.parametrize("kernel", (INDICATOR, BIWEIGHT, TRIWEIGHT), ids=lambda k: k.name)
 def test_builtin_coefficients_match_g_prime(kernel):
     s = np.linspace(0.0, 1.0, 1001)
@@ -348,3 +365,39 @@ def test_permutation_invariance_and_p_hat_range(sample_data, data):
                           equal_nan=True)
     proportions = [*path[ESTIMATOR_NAMES.index("p_hat")], p_hat(sample, sample.n)]
     assert all(0.0 <= p <= 1.0 for p in proportions)
+
+
+@st.composite
+def _censored_samples(draw):
+    """Sorted or unsorted samples, some with ties, a tied uncensored maximum
+    or a censored maximum, and a k grid that may leave most rows out of the
+    view, which may hold one block of sums or more."""
+    n = draw(st.integers(2, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = rng.pareto(draw(st.floats(0.5, 3.0)), n) + 1.0
+    if draw(st.booleans()):
+        z = np.round(z, draw(st.integers(0, 1)))
+    delta = (rng.random(n) >= draw(st.floats(0.0, 0.9))).astype(int)
+    top = np.argsort(z, kind="stable")[-draw(st.integers(1, max(1, n // 4))):]
+    maximum = draw(st.sampled_from(["as drawn", "tied uncensored", "censored"]))
+    if maximum == "tied uncensored":
+        z[top], delta[top] = z.max(), 1
+    elif maximum == "censored":
+        delta[np.argmax(z)] = 0
+    sample = CensoredSample(z, delta)
+    if draw(st.booleans()):
+        sample = sort_with_concomitants(sample)
+    ks = sorted(draw(st.sets(st.integers(1, n - 1), min_size=1, max_size=40)))
+    return sample, ks
+
+
+@settings(max_examples=150, deadline=None)
+@given(_censored_samples())
+def test_kernel_rows_do_not_depend_on_worms(data):
+    """Kaplan-Meier is computed only when worms is requested; the mns and
+    kernel rows are the same to the bit either way."""
+    sample, ks = data
+    without = _tail_path(sample, ks, ("mns",), KERNELS)
+    with_worms = _tail_path(sample, ks, ("worms", "mns"), KERNELS)
+    assert without.tobytes() == with_worms[1:].tobytes()
+    assert _tail_path(sample, ks, (), KERNELS).tobytes() == with_worms[2:].tobytes()
