@@ -1,9 +1,12 @@
 """Tail-index estimation for right-censored heavy-tailed data.
 
-The package covers the full desk workflow: censored-sample containers and
-CSV I/O, product-limit survival curves, kernel-smoothed and classical
-tail-index estimators, heavy-tailed samplers, and a reproducible Monte
-Carlo engine, all fronted by the ``censtail`` command-line tool.
+The package covers the full desk workflow: censored-sample containers,
+reading a ``value,delta`` CSV and writing result tables as CSV text, the
+Kaplan-Meier and Nelson-Aalen survival curves, kernel-smoothed and
+classical tail-index estimators, heavy-tailed samplers, and a reproducible
+Monte Carlo engine, all fronted by the ``censtail`` command-line tool.
+``__all__`` lists only what README, the command line, the benchmark
+harness or the acceptance suite reaches, with the types those return.
 """
 
 from . import errors
@@ -40,20 +43,16 @@ from .models import (
     RngStream,
     gamma2_from_p,
     sample_censored,
-    upper_uncensored_proportion,
 )
 from .samples import (
     CensoredSample,
-    CsvFormat,
     SortedCensoredSample,
     Table,
     TopRows,
     read_csv,
-    read_table,
     render_csv,
     sort_with_concomitants,
     top_order_statistics,
-    write_csv,
 )
 from .simulate import (
     CellAggregate,
@@ -66,8 +65,6 @@ from .simulate import (
 )
 from .survival import (
     StepCurve,
-    empirical_H,
-    empirical_H1,
     kaplan_meier_curve,
     kaplan_meier_survival,
     nelson_aalen_curve,
@@ -106,18 +103,14 @@ __all__ = [
     "RngStream",
     "gamma2_from_p",
     "sample_censored",
-    "upper_uncensored_proportion",
     "CensoredSample",
-    "CsvFormat",
     "SortedCensoredSample",
     "Table",
     "TopRows",
     "read_csv",
-    "read_table",
     "render_csv",
     "sort_with_concomitants",
     "top_order_statistics",
-    "write_csv",
     "CellAggregate",
     "NormalityReport",
     "SimulationConfig",
@@ -126,8 +119,6 @@ __all__ = [
     "normality_check",
     "run_simulation",
     "StepCurve",
-    "empirical_H",
-    "empirical_H1",
     "kaplan_meier_curve",
     "kaplan_meier_survival",
     "nelson_aalen_curve",

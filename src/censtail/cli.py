@@ -28,7 +28,7 @@ from .kernels import (
     builtin_kernel,
     check_kernel_axioms,
 )
-from .samples import CsvFormat, read_csv, render_csv, sort_with_concomitants
+from .samples import read_csv, render_csv, sort_with_concomitants
 from .simulate import SimulationConfig, run_simulation
 
 WORKERS_ENV_VAR = "CENS_TAIL_THREADS"
@@ -173,7 +173,7 @@ def _cmd_estimate(args):
     k_values = _k_values(args)
     # every argument is checked before the input is read, and k against the
     # full n after it: a k_max below 1 keeps one row, then fails that check
-    rows = read_csv(args.input, CsvFormat(header=header), top=max(k_values[-1], 0) + 1)
+    rows = read_csv(args.input, header=header, top=max(k_values[-1], 0) + 1)
     for k in k_values:
         _check_k(k, rows.n)  # against the full n, which the top rows no longer have
     path = estimate_path(sort_with_concomitants(rows.sample), k_values, estimators, kernels)

@@ -81,7 +81,12 @@ def _columns(estimators, kernel_names):
 
 
 def _check_kernel(kernel):
-    if not getattr(kernel, "verified", False):
+    if not isinstance(kernel, Kernel):
+        raise KernelAxiomViolation(
+            f"expected a Kernel, got {kernel!r}; "
+            "make one with censtail.kernels.builtin_kernel or custom_kernel"
+        )
+    if not kernel.verified:
         raise KernelAxiomViolation(
             f"kernel {kernel.name!r} has not passed the axiom checks; "
             "use a built-in kernel or censtail.kernels.custom_kernel"

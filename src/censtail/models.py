@@ -143,12 +143,6 @@ def gamma2_from_p(gamma1, p):
     return p * gamma1 / (1.0 - p)
 
 
-def upper_uncensored_proportion(gamma1, gamma2):
-    """Limiting proportion gamma2 / (gamma1 + gamma2) of uncensored top
-    observations under independent Pareto-type censoring."""
-    return gamma2 / (gamma1 + gamma2)
-
-
 @dataclass(frozen=True)
 class ModelSpec:
     """A loss model optionally right-censored by an independent Frechet.
@@ -165,10 +159,11 @@ class ModelSpec:
 
     @property
     def p(self):
-        """Limiting uncensored proportion among top observations."""
+        """Limiting proportion gamma2 / (gamma1 + gamma2) of uncensored top
+        observations under independent Pareto-type censoring."""
         if self.censor is None:
             return 1.0
-        return upper_uncensored_proportion(self.loss.tail_index, self.censor.gamma2)
+        return self.censor.gamma2 / (self.loss.tail_index + self.censor.gamma2)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,6 @@
-"""Censored-sample containers, ordering with concomitants, and CSV I/O."""
+"""Censored-sample containers, ordering with concomitants, selection of
+the top order statistics, ``value,delta`` CSV input, and the CSV text of
+result tables."""
 
 from __future__ import annotations
 
@@ -71,22 +73,9 @@ class CensoredSample:
     def __post_init__(self):
         _validate_into(self)
 
-    @classmethod
-    def from_pairs(cls, pairs):
-        """Build a sample from an iterable of ``(z, delta)`` pairs."""
-        pairs = list(pairs)
-        if not pairs:
-            raise EmptySample("sample must contain at least one observation")
-        z, delta = zip(*pairs)
-        return cls(np.asarray(z, dtype=float), np.asarray(delta))
-
     @property
     def n(self):
         return self.z.shape[0]
-
-    def pairs(self):
-        """Return the observations as a list of ``(z, delta)`` tuples."""
-        return list(zip(self.z.tolist(), self.delta.tolist()))
 
 
 @dataclass(frozen=True)
@@ -151,8 +140,7 @@ def top_order_statistics(sample, m):
     m : int
         At least 1.
     """
-    m = operator.index(m)
-    if m < 1:
+    if isinstance(m, bool) or (m := operator.index(m)) < 1:
         raise ValueError(f"m must be at least 1, got {m}")
     lo = sample.n - m  # sorted position of the m-th largest
     if lo <= 0:
@@ -227,26 +215,6 @@ class _RunningTop:
 # CSV input
 
 
-@dataclass(frozen=True)
-class CsvFormat:
-    """Format of a two-column ``value,delta`` CSV file.
-
-    ``header`` is True when the first line is a header, False when data
-    starts on line 1, and None to sniff: the first line is treated as a
-    header only when none of its fields parses as a number.  Otherwise it
-    is data, so a malformed first row such as ``abc,1`` is a ParseError on
-    row 1 rather than a silently skipped header.
-    """
-
-    header: bool | None = None
-
-
-def _open_source(source):
-    if isinstance(source, (str, os.PathLike)):
-        return open(source, "r", encoding="utf-8-sig", newline=""), True
-    return source, False
-
-
 class TopRows(NamedTuple):
     """What :func:`read_csv` keeps with ``top``: ``n``, the number of rows
     it read, and ``sample``, the ``top`` largest of them with the rest of the
@@ -257,7 +225,7 @@ class TopRows(NamedTuple):
     sample: CensoredSample
 
 
-def read_csv(source, fmt=CsvFormat(), top=None):
+def read_csv(source, *, header=None, top=None):
     """Read a censored sample from a ``value,delta`` CSV file.
 
     A path is parsed by ``numpy.loadtxt`` in blocks of rows, a text stream
@@ -275,8 +243,12 @@ def read_csv(source, fmt=CsvFormat(), top=None):
     Parameters
     ----------
     source : path or text stream
-    fmt : CsvFormat
-        Header handling; see :class:`CsvFormat`.
+    header : bool, optional
+        True when the first line is a header, False when data starts on
+        line 1, and None to sniff: the first line is treated as a header
+        only when none of its fields parses as a number.  Otherwise it is
+        data, so a malformed first row such as ``abc,1`` is a ParseError on
+        row 1 rather than a silently skipped header.
     top : int, optional
         At least 1.
 
@@ -298,20 +270,20 @@ def read_csv(source, fmt=CsvFormat(), top=None):
     EmptySample
         No data rows.
     """
-    if top is not None and operator.index(top) < 1:
+    if top is not None and (isinstance(top, bool) or operator.index(top) < 1):
         raise ValueError(f"top must be at least 1, got {top}")
     if isinstance(source, (str, os.PathLike)):
-        read = _read_path_fast(source, fmt, top)
+        read = _read_path_fast(source, header, top)
         if read is not None:
             return read
-    sample = _scan_csv(source, fmt)
+    sample = _scan_csv(source, header)
     return sample if top is None else TopRows(sample.n, top_order_statistics(sample, top))
 
 
 _BLOCK_ROWS = 1 << 16
 
 
-def _read_path_fast(path, fmt, top=None):
+def _read_path_fast(path, header, top=None):
     """What :func:`read_csv` returns for the CSV file at ``path``, parsed
     by ``numpy.loadtxt``, or None where the row scanner must read the file.
 
@@ -334,7 +306,7 @@ def _read_path_fast(path, fmt, top=None):
             line = fh.readline().rstrip("\r\n")
         if not line or '"' in line or "\x00" in line:
             return None
-        skip = int(_is_header(line.split(","), fmt))
+        skip = int(_is_header(line.split(","), header))
         kept = _RunningTop(top)
         with open(path, "r", encoding="utf-8-sig") as fh, warnings.catch_warnings():
             # past the last row loadtxt warns and reads nothing
@@ -382,9 +354,10 @@ def _longest_line(path, chunk=1 << 20):
     return int(max(longest, run)) - 1
 
 
-def _scan_csv(source, fmt):
+def _scan_csv(source, header):
     """The row scanner: csv.reader and ``float`` on each row."""
-    stream, owned = _open_source(source)
+    owned = isinstance(source, (str, os.PathLike))
+    stream = open(source, "r", encoding="utf-8-sig", newline="") if owned else source
     try:
         values = []
         deltas = []
@@ -394,7 +367,7 @@ def _scan_csv(source, fmt):
                 continue
             if first_data_row:
                 first_data_row = False
-                if _is_header(row, fmt):
+                if _is_header(row, header):
                     continue
             if len(row) != 2:
                 raise ParseError(
@@ -446,11 +419,11 @@ def _csv_rows(stream):
                          f"{exc.reason}") from None
 
 
-def _is_header(fields, fmt):
+def _is_header(fields, header):
     """Whether the first non-empty row, split into ``fields``, is a header."""
-    if fmt.header is None:
+    if header is None:
         return not any(_is_number(field) for field in fields)
-    return fmt.header
+    return header
 
 
 def _is_number(text):
@@ -497,48 +470,14 @@ def format_cell(value):
     return str(value)
 
 
-def write_csv(table, dest):
-    """Write a :class:`Table` as CSV (UTF-8, '\\n' line endings).
+def render_csv(table):
+    """Return the CSV text of a table as a string ('\\n' line endings).
 
     Undefined cells (None) are emitted as empty fields.
     """
-    if isinstance(dest, (str, os.PathLike)):
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            _write_csv_stream(table, fh)
-    else:
-        _write_csv_stream(table, dest)
-
-
-def _write_csv_stream(table, stream):
-    writer = csv.writer(stream, lineterminator="\n")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(table.columns)
     for row in table.rows:
         writer.writerow([format_cell(v) for v in row])
-
-
-def render_csv(table):
-    """Return the CSV text of a table as a string."""
-    buf = io.StringIO()
-    _write_csv_stream(table, buf)
     return buf.getvalue()
-
-
-def read_table(source):
-    """Read a generic CSV table back as strings (first line is the header).
-
-    Empty fields become None so that undefined estimator cells survive a
-    round trip.  A row csv.reader refuses, or text that is not UTF-8, is a
-    ParseError, as in :func:`read_csv`.
-    """
-    stream, owned = _open_source(source)
-    try:
-        reader = _csv_rows(stream)
-        try:
-            columns = next(reader)
-        except StopIteration:
-            raise ParseError("CSV table has no header line", row=1) from None
-        rows = [tuple(cell if cell != "" else None for cell in row) for row in reader if row]
-    finally:
-        if owned:
-            stream.close()
-    return Table(tuple(columns), tuple(rows))

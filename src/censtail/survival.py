@@ -1,11 +1,10 @@
-"""Empirical distribution curves and product-limit survival estimators.
+"""Product-limit survival estimators as step curves.
 
-Four step curves are derived from a sorted censored sample: the empirical
-distribution of the observed values, the empirical sub-distribution of the
-uncensored values, and the Kaplan-Meier and Nelson-Aalen estimators of the
-underlying (uncensored) distribution.  All four are represented by the same
-:class:`StepCurve` container and differ only in their jump values and in the
-evaluation convention at a jump point.
+Two step curves are derived from a sorted censored sample: the
+Kaplan-Meier and Nelson-Aalen estimators of the underlying (uncensored)
+distribution.  Both are represented by the same :class:`StepCurve`
+container and differ only in their jump values and in the evaluation
+convention at a jump point.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .samples import Table, _freeze
+from .samples import _freeze
 
 
 @dataclass(frozen=True)
@@ -29,11 +28,10 @@ class StepCurve:
         Curve value on the interval following each jump, in [0, 1].
     include_at_jump : bool
         Evaluation convention at a jump point z: True means the value at z
-        already includes the step at z (right-continuous, used by the
-        empirical curves and Kaplan-Meier, whose products run over
-        observations <= z); False means it does not (left-continuous, used
-        by Nelson-Aalen, whose product runs over observations strictly
-        below z).
+        already includes the step at z (right-continuous, used by
+        Kaplan-Meier, whose product runs over observations <= z); False
+        means it does not (left-continuous, used by Nelson-Aalen, whose
+        product runs over observations strictly below z).
     """
 
     jump_points: np.ndarray
@@ -52,33 +50,14 @@ class StepCurve:
         object.__setattr__(self, "jump_points", _freeze(jumps))
         object.__setattr__(self, "values_after", _freeze(values))
 
-    def _eval(self, z, side):
-        z_arr = np.asarray(z, dtype=float)
-        idx = np.searchsorted(self.jump_points, z_arr, side=side)
-        table = np.concatenate(([1.0], self.values_after))
-        out = table[idx]
+    def survival(self, z):
+        """Curve value at z (scalar or array) under the curve's convention."""
+        side = "right" if self.include_at_jump else "left"
+        idx = np.searchsorted(self.jump_points, np.asarray(z, dtype=float), side=side)
+        out = np.concatenate(([1.0], self.values_after))[idx]
         if np.ndim(z) == 0:
             return float(out)
         return out
-
-    def survival(self, z):
-        """Curve value at z (scalar or array) under the curve's convention."""
-        return self._eval(z, "right" if self.include_at_jump else "left")
-
-    def survival_before(self, z):
-        """Left limit of the curve at z, i.e. the value just below z."""
-        return self._eval(z, "left")
-
-    def cdf(self, z):
-        """Complement 1 - survival(z)."""
-        return 1.0 - self.survival(z)
-
-    def to_table(self):
-        """Dump the curve as a (z, survival) table for external plotting."""
-        rows = tuple(
-            (float(z), float(v)) for z, v in zip(self.jump_points, self.values_after)
-        )
-        return Table(("z", "survival"), rows)
 
 
 def _tie_blocks(z):
@@ -109,32 +88,6 @@ def _drop_flat_steps(jumps, values):
     before = np.concatenate(([1.0], values[:-1]))
     keep = values < before
     return jumps[keep], values[keep]
-
-
-def empirical_H(sample):
-    """Empirical distribution of the observed values, as a survival curve.
-
-    The returned curve is the proportion of observations strictly above z;
-    its ``cdf`` accessor is the usual empirical distribution function, and
-    ``survival_before`` at the i-th order statistic equals (n - i + 1) / n.
-    """
-    n = sample.n
-    start, end = _tie_blocks(sample.z)
-    values = (n - end) / n
-    return StepCurve(sample.z[start], values, include_at_jump=True)
-
-
-def empirical_H1(sample):
-    """Empirical sub-distribution of the uncensored observations.
-
-    The curve jumps by 1/n at each uncensored observation; its ``cdf``
-    accessor gives the sub-distribution itself.
-    """
-    n = sample.n
-    start, end = _tie_blocks(sample.z)
-    cum_unc = np.cumsum(sample.delta)[end - 1]
-    jumps, values = _drop_flat_steps(sample.z[start], 1.0 - cum_unc / n)
-    return StepCurve(jumps, values, include_at_jump=True)
 
 
 def kaplan_meier_curve(sample):

@@ -12,12 +12,24 @@ table in :mod:`censtail.kernels`.
 ``blocked_suffix_sums`` is the blocked suffix-sum algorithm of
 ``censtail.estimators._suffix_sums`` for every length, the reference for
 its one-block shortcut.
+
+``empirical_H``, ``empirical_H1`` and ``survival_before`` give the
+empirical distribution of the observed values, the empirical
+sub-distribution of the uncensored ones and a curve's left limit: the
+pieces of the hazard-integral form of the Nelson-Aalen estimator, from
+which the integral-form oracles of the estimators are built.
 """
 
 import numpy as np
 
 from censtail.errors import DegenerateP, ZeroSurvivalAtThreshold
-from censtail.survival import kaplan_meier_curve, nelson_aalen_curve
+from censtail.survival import (
+    StepCurve,
+    _drop_flat_steps,
+    _tie_blocks,
+    kaplan_meier_curve,
+    nelson_aalen_curve,
+)
 
 KERNEL_FORMULAS = {
     "indicator": dict(
@@ -111,3 +123,30 @@ def blocked_suffix_sums(x, block=256):
     sums = np.zeros((*lead, m + 1), x.dtype)
     sums[..., :m] = blocks.reshape(*lead, count * block)[..., m - 1::-1]
     return sums
+
+
+def empirical_H(sample):
+    """Empirical distribution of the observed values, as a survival curve:
+    the proportion of observations strictly above z.  Its left limit at the
+    i-th order statistic is (n - i + 1) / n."""
+    n = sample.n
+    start, end = _tie_blocks(sample.z)
+    return StepCurve(sample.z[start], (n - end) / n, include_at_jump=True)
+
+
+def empirical_H1(sample):
+    """Empirical sub-distribution of the uncensored observations, as one
+    minus a survival curve that drops by 1/n at each uncensored value."""
+    n = sample.n
+    start, end = _tie_blocks(sample.z)
+    cum_unc = np.cumsum(sample.delta)[end - 1]
+    jumps, values = _drop_flat_steps(sample.z[start], 1.0 - cum_unc / n)
+    return StepCurve(jumps, values, include_at_jump=True)
+
+
+def survival_before(curve, z):
+    """Left limit of a step curve at z (scalar or array): its value just
+    below z."""
+    idx = np.searchsorted(curve.jump_points, np.asarray(z, dtype=float), side="left")
+    out = np.concatenate(([1.0], curve.values_after))[idx]
+    return float(out) if np.ndim(z) == 0 else out

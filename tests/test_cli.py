@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -12,9 +13,9 @@ import pytest
 
 from censtail import (
     CensoredSample,
+    Table,
     builtin_kernel,
     estimate_path,
-    read_table,
     render_csv,
     sort_with_concomitants,
 )
@@ -27,6 +28,13 @@ def write_sample_csv(path, rows, header=True):
     lines = ["value,delta"] if header else []
     lines += [f"{z},{d}" for z, d in rows]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def read_output(path):
+    """The columns and rows of a CSV output, with empty cells as None."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        columns, *rows = csv.reader(fh)
+    return Table(columns, [[cell if cell != "" else None for cell in row] for row in rows])
 
 
 def small_sim_config(tmp_path, **overrides):
@@ -60,7 +68,7 @@ class TestEstimate:
             "--k", "3", "--estimators", "hill", "--kernels", "",
         ])
         assert code == 0
-        table = read_table(out)
+        table = read_output(out)
         assert table.columns == ("k", "p_hat", "hill")
         row = table.rows[0]
         assert int(row[0]) == 3
@@ -75,10 +83,35 @@ class TestEstimate:
             "--k", "2", "--estimators", "efg", "--kernels", "",
         ])
         assert code == 0
-        table = read_table(out)
+        table = read_output(out)
         assert table.columns == ("k", "p_hat", "efg")
         assert float(table.rows[0][1]) == 0.0
         assert table.rows[0][2] is None
+
+    def test_declared_header_consumes_a_numeric_first_line(self, tmp_path):
+        data = tmp_path / "data.csv"
+        out = tmp_path / "out.csv"
+        write_sample_csv(data, [(100, 0), (1, 1), (2, 1), (4, 1), (8, 1)], header=False)
+        code = main([
+            "estimate", "--input", str(data), "--output", str(out), "--header", "present",
+            "--k", "3", "--estimators", "hill", "--kernels", "",
+        ])
+        assert code == 0
+        # with the first line read as data, 100 would be the largest value
+        row = read_output(out).rows[0]
+        assert float(row[1]) == 1.0
+        assert float(row[2]) == pytest.approx(2 * math.log(2), abs=1e-12)
+
+    def test_declared_absent_header_is_a_parse_error(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        out = tmp_path / "out.csv"
+        write_sample_csv(data, [(1, 1), (2, 1), (4, 1), (8, 1)])
+        code = main(["estimate", "--input", str(data), "--output", str(out),
+                     "--header", "absent", "--k", "1"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: row 1: cannot parse value 'value'\n")
+        assert not out.exists()
 
     def test_missing_file_no_partial_output(self, tmp_path):
         out = tmp_path / "out.csv"
@@ -262,7 +295,7 @@ class TestEstimate:
             "--kernels", "biweight,triweight",
         ])
         assert code == 0
-        table = read_table(out)
+        table = read_output(out)
         path = estimate_path(
             sort_with_concomitants(CensoredSample(sample.z, sample.delta)),
             range(5, 41, 5),

@@ -10,8 +10,6 @@ from censtail import (
     CensoredSample,
     EstimatePath,
     efg,
-    empirical_H,
-    empirical_H1,
     estimate_path,
     hill,
     kernel_estimator,
@@ -25,6 +23,7 @@ from censtail import (
 )
 from censtail.errors import ConfigError, DegenerateP, InvalidK, ZeroSurvivalAtThreshold
 from conftest import make_censored, make_complete
+from reference_impl import empirical_H, empirical_H1, survival_before
 
 
 def sample_of(z, delta):
@@ -47,7 +46,7 @@ def integral_form_oracle(sample, k, kernel):
         if v <= threshold:
             continue
         s_v = na.survival(float(v))
-        mass = s_v * dh1 / H.survival_before(float(v))
+        mass = s_v * dh1 / survival_before(H, float(v))
         ratio = s_v / s_threshold
         total += kernel.g_prime(ratio) * math.log(v / threshold) * mass / s_threshold
     return total
@@ -219,6 +218,19 @@ class TestKernelEstimator:
             kernel_estimator(sample, 2, raw)
         with pytest.raises(KernelAxiomViolation):
             estimate_path(sample, [1, 2], estimators=(), kernels=(raw,))
+
+    @pytest.mark.parametrize("value", ["biweight", None, 1.5])
+    def test_a_value_that_is_not_a_kernel_is_a_usage_error(self, value):
+        # a kernel name raised AttributeError here, which the CLI maps to exit 3
+        from censtail.errors import KernelAxiomViolation, UsageError
+
+        sample = sample_of([1, 2, 4, 8], [1, 1, 1, 1])
+        for call in (lambda: kernel_estimator(sample, 3, value),
+                     lambda: estimate_path(sample, [2, 3], kernels=(value,))):
+            with pytest.raises(KernelAxiomViolation, match="builtin_kernel") as err:
+                call()
+            assert isinstance(err.value, UsageError)
+            assert f"got {value!r}" in str(err.value)
 
     def test_factory_verified_kernel_accepted(self):
         from censtail import custom_kernel

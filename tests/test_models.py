@@ -17,7 +17,6 @@ from censtail import (
     sample_censored,
     sort_with_concomitants,
     top_order_statistics,
-    upper_uncensored_proportion,
 )
 from censtail import models
 from censtail.errors import DomainError, NonPositiveObservation
@@ -96,9 +95,8 @@ class TestGamma2FromP:
         for gamma1 in (0.4, 0.6, 2.0):
             for p in (0.55, 0.6, 0.75, 0.9, 0.99):
                 gamma2 = gamma2_from_p(gamma1, p)
-                assert upper_uncensored_proportion(gamma1, gamma2) == pytest.approx(
-                    p, abs=1e-12
-                )
+                model = ModelSpec(loss=Pareto(gamma1), censor=Frechet(gamma2))
+                assert model.p == pytest.approx(p, abs=1e-12)
 
     def test_rejects_degenerate_p(self):
         with pytest.raises(DomainError):

@@ -1,3 +1,4 @@
+import csv
 import io
 import warnings
 
@@ -8,16 +9,13 @@ from hypothesis import strategies as st
 
 from censtail import (
     CensoredSample,
-    CsvFormat,
     SortedCensoredSample,
     Table,
     kaplan_meier_survival,
     read_csv,
-    read_table,
     render_csv,
     sort_with_concomitants,
     top_order_statistics,
-    write_csv,
 )
 from censtail import samples
 from censtail.errors import (
@@ -29,20 +27,31 @@ from censtail.errors import (
 from conftest import make_censored
 
 
+def _assert_rows(sample, z, delta):
+    assert np.array_equal(sample.z, z)
+    assert np.array_equal(sample.delta, delta)
+
+
+def _table_csv(sample):
+    """The CSV text of a sample as a ``value,delta`` table."""
+    return render_csv(Table(("value", "delta"),
+                            tuple(zip(sample.z.tolist(), sample.delta.tolist()))))
+
+
 class TestSorting:
     def test_basic_order_with_concomitants(self):
-        sample = CensoredSample.from_pairs([(2, 0), (1, 1), (4, 1)])
+        sample = CensoredSample(np.array([2.0, 1.0, 4.0]), np.array([0, 1, 1]))
         out = sort_with_concomitants(sample)
         assert out.z.tolist() == [1.0, 2.0, 4.0]
         assert out.delta.tolist() == [1, 0, 1]
 
     def test_tie_rule_uncensored_first(self):
-        out = sort_with_concomitants(CensoredSample.from_pairs([(3, 0), (3, 1)]))
+        out = sort_with_concomitants(CensoredSample(np.array([3.0, 3.0]), np.array([0, 1])))
         assert out.z.tolist() == [3.0, 3.0]
         assert out.delta.tolist() == [1, 0]
 
     def test_singleton(self):
-        out = sort_with_concomitants(CensoredSample.from_pairs([(1, 1)]))
+        out = sort_with_concomitants(CensoredSample(np.array([1.0]), np.array([1])))
         assert out.z.tolist() == [1.0]
         assert out.delta.tolist() == [1]
 
@@ -127,6 +136,16 @@ class TestTopOrderStatistics:
         with pytest.raises(TypeError):
             top_order_statistics(sample, 1.0)
 
+    @pytest.mark.parametrize("sorted_", [False, True])
+    def test_a_bool_m_is_refused(self, sorted_):
+        # True is not the row count 1, as a bool k or sample size is not
+        sample = CensoredSample(np.array([1.0, 2.0]), np.array([1, 0]))
+        if sorted_:
+            sample = sort_with_concomitants(sample)
+        for m in (True, False):
+            with pytest.raises(ValueError, match=f"m must be at least 1, got {m}"):
+                top_order_statistics(sample, m)
+
 
 class TestValidation:
     def test_nonpositive_is_hard_error(self):
@@ -140,8 +159,6 @@ class TestValidation:
     def test_empty_sample(self):
         with pytest.raises(EmptySample):
             CensoredSample(np.array([]), np.array([]))
-        with pytest.raises(EmptySample):
-            CensoredSample.from_pairs([])
 
     def test_indicator_outside_01(self):
         with pytest.raises(InvalidIndicator):
@@ -166,11 +183,11 @@ class TestValidation:
 class TestReadCsv:
     def test_with_header(self):
         sample = read_csv(io.StringIO("value,delta\n1.5,1\n2.0,0\n"))
-        assert sample.pairs() == [(1.5, 1), (2.0, 0)]
+        _assert_rows(sample, [1.5, 2.0], [1, 0])
 
     def test_without_header_declared(self):
-        sample = read_csv(io.StringIO("1.5,1\n2.0,0\n"), CsvFormat(header=False))
-        assert sample.pairs() == [(1.5, 1), (2.0, 0)]
+        sample = read_csv(io.StringIO("1.5,1\n2.0,0\n"), header=False)
+        _assert_rows(sample, [1.5, 2.0], [1, 0])
 
     def test_header_autodetect(self):
         sample = read_csv(io.StringIO("1.5,1\n2.0,0\n"))
@@ -237,21 +254,19 @@ class TestReadCsv:
         (tmp_path / "http:" / "example.invalid").mkdir(parents=True)
         (tmp_path / "http:" / "example.invalid" / "s.csv").write_bytes(b"1.5,1\n2.0,0\n")
         name = "http://example.invalid/s.csv"
-        assert samples._read_path_fast(name, CsvFormat()) is not None
-        assert read_csv(name).pairs() == [(1.5, 1), (2.0, 0)]
+        assert samples._read_path_fast(name, None) is not None
+        _assert_rows(read_csv(name), [1.5, 2.0], [1, 0])
         assert fetched == []
 
     def test_byte_order_mark_is_skipped(self, tmp_path):
         path = tmp_path / "bom.csv"
         path.write_bytes(b"\xef\xbb\xbf1.5,1\n2.0,0\n")
-        assert read_csv(path).pairs() == [(1.5, 1), (2.0, 0)]
-        path.write_bytes(b"\xef\xbb\xbfk,hill\n1,0.5\n")
-        assert read_table(path).columns == ("k", "hill")
+        _assert_rows(read_csv(path), [1.5, 2.0], [1, 0])
 
     def test_declared_header_consumes_first_line(self):
         # header=True even though the first line looks numeric
-        sample = read_csv(io.StringIO("1.0,1\n2.0,0\n"), CsvFormat(header=True))
-        assert sample.pairs() == [(2.0, 0)]
+        sample = read_csv(io.StringIO("1.0,1\n2.0,0\n"), header=True)
+        _assert_rows(sample, [2.0], [0])
 
 
 def _outcome(read):
@@ -262,16 +277,16 @@ def _outcome(read):
         return type(exc), getattr(exc, "row", None), str(exc)
 
 
-def _scan(path, fmt):
+def _scan(path, header):
     """The row scanner's reading of a file: a text stream never takes the
     vectorised pass."""
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        return read_csv(fh, fmt)
+        return read_csv(fh, header=header)
 
 
-def _assert_same_as_scanner(path, fmt):
-    got = _outcome(lambda: read_csv(path, fmt))
-    want = _outcome(lambda: _scan(path, fmt))
+def _assert_same_as_scanner(path, header):
+    got = _outcome(lambda: read_csv(path, header=header))
+    want = _outcome(lambda: _scan(path, header))
     if isinstance(want, tuple):
         assert got == want
         return
@@ -351,10 +366,9 @@ class TestReadCsvPath:
                                                       header, fast):
         path = tmp_path / "edge.csv"
         path.write_bytes(content)
-        fmt = CsvFormat(header=header)
-        assert (samples._read_path_fast(path, fmt) is not None) == fast
-        _assert_same_as_scanner(path, fmt)
-        _assert_same_as_scanner(str(path), fmt)
+        assert (samples._read_path_fast(path, header) is not None) == fast
+        _assert_same_as_scanner(path, header)
+        _assert_same_as_scanner(str(path), header)
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 1 << 20])
     def test_longest_line_across_read_blocks(self, tmp_path, chunk):
@@ -435,7 +449,7 @@ def test_path_read_matches_row_scanner(tmp_path, text, header):
     """read_csv on a path gives the row scanner's values, or its error and row."""
     path = tmp_path / "sample.csv"
     path.write_bytes(text.encode("utf-8"))
-    _assert_same_as_scanner(path, CsvFormat(header=header))
+    _assert_same_as_scanner(path, header)
 
 
 
@@ -448,11 +462,10 @@ def test_block_read_matches_row_scanner(tmp_path, text, header, block, top):
     top, gives the row scanner's rows and their top, or its error and row."""
     path = tmp_path / "sample.csv"
     path.write_bytes(text.encode("utf-8"))
-    fmt = CsvFormat(header=header)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(samples, "_BLOCK_ROWS", block)
-        got = _outcome(lambda: read_csv(path, fmt, top=top))
-    want = _outcome(lambda: _scan(path, fmt))
+        got = _outcome(lambda: read_csv(path, header=header, top=top))
+    want = _outcome(lambda: _scan(path, header))
     if isinstance(want, tuple):
         assert got == want
         return
@@ -486,10 +499,10 @@ class TestReadCsvTop:
         text = 'value,delta\n3,1\n"1",0\n3,0\n2,1\n3,1\n'
         path = tmp_path / "quoted.csv"
         path.write_text(text)
-        assert samples._read_path_fast(path, CsvFormat(), 2) is None
+        assert samples._read_path_fast(path, None, 2) is None
         for got in (read_csv(path, top=2), read_csv(io.StringIO(text), top=2)):
             assert got.n == 5
-            assert got.sample.pairs() == [(3.0, 1), (3.0, 0), (3.0, 1)]
+            _assert_rows(got.sample, [3.0, 3.0, 3.0], [1, 0, 1])
 
     def test_errors_are_the_whole_files(self, tmp_path, monkeypatch):
         # a bad row below the top still fails the read, as the scanner reports it
@@ -506,6 +519,14 @@ class TestReadCsvTop:
     def test_top_below_one_is_refused(self, top):
         with pytest.raises(ValueError, match="top must be at least 1"):
             read_csv(io.StringIO("1.5,1\n"), top=top)
+
+    @pytest.mark.parametrize("top", [True, False])
+    def test_a_bool_top_is_refused(self, tmp_path, top):
+        path = tmp_path / "s.csv"
+        path.write_text("1.5,1\n2.0,0\n")
+        for source in (path, io.StringIO("1.5,1\n2.0,0\n")):
+            with pytest.raises(ValueError, match=f"top must be at least 1, got {top}"):
+                read_csv(source, top=top)
 
 class TestWriteCsv:
     def test_empty_table_is_header_only(self):
@@ -527,56 +548,28 @@ class TestWriteCsv:
         with pytest.raises(ValueError):
             Table(("a", "b"), ((1,),))
 
-    def test_round_trip_random_table_bit_exact(self, rng, tmp_path):
-        path = tmp_path / "table.csv"
+    def test_round_trip_random_table_bit_exact(self, rng):
         for trial in range(10):
             values = rng.standard_cauchy((8, 3)) * 10.0 ** rng.integers(-8, 8)
             table = Table(("a", "b", "c"), tuple(map(tuple, values)))
-            write_csv(table, path)
-            back = read_table(path)
-            assert back.columns == ("a", "b", "c")
-            recovered = np.array(
-                [[float(cell) for cell in row] for row in back.rows]
-            )
+            columns, *rows = csv.reader(io.StringIO(render_csv(table)))
+            assert columns == ["a", "b", "c"]
+            recovered = np.array([[float(cell) for cell in row] for row in rows])
             assert np.array_equal(recovered, values)
 
     def test_sample_write_read_identity(self, rng, tmp_path):
         path = tmp_path / "sample.csv"
         for _ in range(10):
             sample = make_censored(rng, n=int(rng.integers(1, 80)))
-            table = Table(
-                ("value", "delta"),
-                tuple(zip(sample.z.tolist(), sample.delta.tolist())),
-            )
-            write_csv(table, path)
+            path.write_text(_table_csv(sample), encoding="utf-8", newline="")
             back = read_csv(path)
             assert np.array_equal(back.z, sample.z)
             assert np.array_equal(back.delta, sample.delta)
 
-    @pytest.mark.parametrize("content, row", [
-        (b"k,hill\n1,0.5\n2," + b"1" * 200_000 + b"\n", 3),
-        (b"k,hill\n1,\xff\n", None),
-    ], ids=["field over the csv limit", "not utf-8"])
-    def test_unreadable_table_is_a_parse_error(self, tmp_path, content, row):
-        # read_table raised a bare csv.Error and a UnicodeDecodeError here
-        path = tmp_path / "table.csv"
-        path.write_bytes(content)
-        with pytest.raises(ParseError) as err:
-            read_table(path)
-        assert err.value.row == row
-
-    def test_empty_table_file_is_a_parse_error(self, tmp_path):
-        path = tmp_path / "table.csv"
-        path.write_bytes(b"")
-        with pytest.raises(ParseError, match="no header line") as err:
-            read_table(path)
-        assert err.value.row == 1
-
     def test_sample_write_read_identity_at_1e5_rows(self, rng, tmp_path):
         path = tmp_path / "sample.csv"
         sample = make_censored(rng, n=100_000, allow_ties=True)
-        write_csv(Table(("value", "delta"),
-                        tuple(zip(sample.z.tolist(), sample.delta.tolist()))), path)
+        path.write_text(_table_csv(sample), encoding="utf-8", newline="")
         back = read_csv(path)
         assert back.z.tobytes() == sample.z.tobytes()
         assert back.delta.tobytes() == sample.delta.tobytes()

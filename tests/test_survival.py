@@ -6,8 +6,6 @@ import pytest
 from censtail import (
     CensoredSample,
     StepCurve,
-    empirical_H,
-    empirical_H1,
     kaplan_meier_curve,
     kaplan_meier_survival,
     nelson_aalen_curve,
@@ -15,32 +13,36 @@ from censtail import (
     sort_with_concomitants,
 )
 from conftest import make_censored
+from reference_impl import empirical_H, empirical_H1, survival_before
 
 
 def sample_of(z, delta):
     return sort_with_concomitants(CensoredSample(np.array(z, float), np.array(delta)))
 
 
+# TestEmpiricalH and TestEmpiricalH1 check the reference_impl oracles that
+# test_product_form_matches_hazard_integral_form and the estimators'
+# integral-form oracle are built from; a distribution is 1 - survival.
 class TestEmpiricalH:
     def test_counting(self):
         H = empirical_H(sample_of([1, 2, 3], [1, 1, 1]))
-        assert H.cdf(2.0) == pytest.approx(2 / 3, abs=1e-15)
+        assert 1.0 - H.survival(2.0) == pytest.approx(2 / 3, abs=1e-15)
 
     def test_left_limit_matches_rank_formula(self):
         # survival just below the i-th order statistic is (n - i + 1) / n
         H = empirical_H(sample_of([1, 2, 3], [1, 1, 1]))
-        assert H.survival_before(2.0) == pytest.approx(2 / 3, abs=1e-15)
+        assert survival_before(H, 2.0) == pytest.approx(2 / 3, abs=1e-15)
 
     def test_below_all_observations(self):
         H = empirical_H(sample_of([5], [1]))
-        assert H.cdf(4.9) == 0.0
+        assert H.survival(4.9) == 1.0
 
     def test_left_limit_all_ranks(self, rng):
         sample = make_censored(rng, n=40)
         H = empirical_H(sample)
         n = sample.n
         for i in range(1, n + 1):
-            assert H.survival_before(sample.z[i - 1]) == pytest.approx(
+            assert survival_before(H, sample.z[i - 1]) == pytest.approx(
                 (n - i + 1) / n, abs=1e-12
             )
 
@@ -48,19 +50,19 @@ class TestEmpiricalH:
 class TestEmpiricalH1:
     def test_counts_only_uncensored(self):
         H1 = empirical_H1(sample_of([1, 2, 3], [1, 0, 1]))
-        assert H1.cdf(2.5) == pytest.approx(1 / 3, abs=1e-15)
+        assert 1.0 - H1.survival(2.5) == pytest.approx(1 / 3, abs=1e-15)
 
     def test_complete_data_equals_H(self, rng):
         sample = make_censored(rng, n=30, censor_prob=0.0)
         H = empirical_H(sample)
         H1 = empirical_H1(sample)
         grid = np.linspace(0.01, sample.z.max() * 1.5, 100)
-        assert np.allclose(H.cdf(grid), H1.cdf(grid), atol=1e-15)
+        assert np.allclose(H.survival(grid), H1.survival(grid), atol=1e-15)
 
     def test_all_censored_is_zero(self):
         H1 = empirical_H1(sample_of([1, 2, 3], [0, 0, 0]))
         grid = np.array([0.5, 1.0, 2.0, 10.0])
-        assert np.all(H1.cdf(grid) == 0.0)
+        assert np.all(H1.survival(grid) == 1.0)
 
     def test_dominated_by_H(self, rng):
         for _ in range(10):
@@ -68,10 +70,10 @@ class TestEmpiricalH1:
             H = empirical_H(sample)
             H1 = empirical_H1(sample)
             grid = np.concatenate(([0.01], sample.z, sample.z * 1.001))
-            h, h1 = H.cdf(grid), H1.cdf(grid)
+            h, h1 = 1.0 - H.survival(grid), 1.0 - H1.survival(grid)
             assert np.all(h1 <= h + 1e-15)
             assert np.all(h <= 1.0)
-            assert np.all(np.diff(H.cdf(np.sort(grid))) >= -1e-15)
+            assert np.all(np.diff(1.0 - H.survival(np.sort(grid))) >= -1e-15)
 
 
 class TestKaplanMeier:
@@ -175,7 +177,7 @@ class TestNelsonAalen:
             )
             for z in points:
                 below = jumps < z
-                integral = np.sum(sizes[below] / H.survival_before(jumps[below]))
+                integral = np.sum(sizes[below] / survival_before(H, jumps[below]))
                 assert nelson_aalen_survival(sample, float(z)) == pytest.approx(
                     math.exp(-integral), abs=1e-12
                 )
@@ -203,9 +205,3 @@ class TestStepCurve:
         curve = StepCurve(np.array([1.0, 2.0]), np.array([0.6, 0.2]), True)
         out = curve.survival(np.array([0.5, 1.0, 1.5, 2.0, 3.0]))
         assert out.tolist() == [1.0, 0.6, 0.6, 0.2, 0.2]
-
-    def test_to_table(self):
-        curve = StepCurve(np.array([1.0, 2.0]), np.array([0.6, 0.2]), True)
-        table = curve.to_table()
-        assert table.columns == ("z", "survival")
-        assert table.rows == ((1.0, 0.6), (2.0, 0.2))
