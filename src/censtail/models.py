@@ -4,7 +4,9 @@ The simulation design draws losses from a Burr distribution (or plain
 Pareto for complete-data checks) and censors them by an independent Frechet
 variable; all three have closed-form quantile functions, so sampling is a
 pure function of uniform draws from a counter-based generator, which makes
-parallel and serial runs bit-identical.
+parallel and serial runs bit-identical.  A draw of exactly 0 counts as
+2^-53, the smallest positive draw, so that every draw depends only on its
+position in the stream.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NonPositiveObservation
-from .samples import CensoredSample, _RunningTop, _unchecked, top_order_statistics
+from .samples import _RunningTop, _unchecked, top_order_statistics
 
 _BLOCK_ROWS = 1 << 16  # uniforms per block of _top_sample, as read_csv parses rows
 
@@ -191,15 +193,17 @@ class RngStream:
         return np.random.Generator(np.random.Philox(key=key))
 
 
-def _open_unit(gen, size):
-    """Uniform draws in the open interval (0, 1); exact zeros are redrawn so
-    the quantile transforms can never produce a zero or infinite value."""
-    u = gen.random(size)
-    while True:
-        zero = u == 0.0
-        if not zero.any():
-            return u
-        u[zero] = gen.random(int(zero.sum()))
+_ZERO_DRAW = 2.0**-53  # what a draw of exactly 0 counts as: the smallest positive draw
+
+
+def _nonzero(u):
+    """The draws ``u`` with an exact 0 counted as ``_ZERO_DRAW``, so that
+    each lies in (0, 1), inside the domain of every quantile: an array in
+    place, a float as a Python float, which costs less than a numpy scalar.
+    Every draw is a multiple of 2^-53, so only a 0 is raised."""
+    if isinstance(u, float):
+        return max(u, _ZERO_DRAW)
+    return np.maximum(u, _ZERO_DRAW, out=u)
 
 
 def sample_censored(spec, n, rng):
@@ -208,19 +212,13 @@ def sample_censored(spec, n, rng):
     Losses and censoring values are drawn independently through their
     quantile transforms; each observation is the minimum of the two with an
     indicator telling whether the loss itself was observed.  The loss
-    uniforms are consumed before the censoring uniforms, so the output is a
-    deterministic function of ``(spec, n, rng)``.
+    uniforms are positions [0, n) of the stream and the censoring uniforms
+    positions [n, 2n), and a draw of exactly 0 counts as 2^-53, so each row
+    is a deterministic function of the draws at its own two positions.
     """
     if _integer(n, "sample size") < 1:
         raise DomainError(f"sample size must be >= 1, got {n}")
-    gen = rng.generator()
-    x = spec.loss.quantile(_open_unit(gen, n))
-    if spec.censor is None:
-        return CensoredSample(x, np.ones(n, dtype=np.int8))
-    c = spec.censor.quantile(_open_unit(gen, n))
-    z = np.minimum(x, c)
-    delta = (x <= c).astype(np.int8)
-    return CensoredSample(z, delta)
+    return _transformed_top(spec, n, None, rng)
 
 
 def _top_sample(spec, n, m, rng):
@@ -232,24 +230,18 @@ def _top_sample(spec, n, m, rng):
     still grows with n.  With complete data the running top is kept in
     u-space and only its uniforms go through the quantile
     (:func:`_complete_top`); censored blocks are transformed whole
-    (:func:`_transformed_top`).  ``sample_censored`` redraws an exact zero
-    uniform from the draws after the whole n-block, which moves every later
-    draw, so a replication that draws one is drawn by ``sample_censored``
-    itself.
+    (:func:`_transformed_top`).  Both count a draw of exactly 0 as 2^-53
+    (:func:`_nonzero`), as ``sample_censored`` does.
     """
     if spec.censor is None:
-        top = _complete_top(spec, n, m, rng)
-    else:
-        top = _transformed_top(spec, n, m, rng)
-    if top is None:  # a zero uniform
-        return top_order_statistics(sample_censored(spec, n, rng), m)
-    return top
+        return _complete_top(spec, n, m, rng)
+    return _transformed_top(spec, n, m, rng)
 
 
 def _unit_blocks(rng, n, censored):
-    """The uniforms of :func:`sample_censored` before its zero redraws, as
-    (loss, censor) pairs of blocks of at most ``_BLOCK_ROWS``; censor is None
-    for complete data.
+    """The uniforms of a sample of size n, a 0 counted as 2^-53
+    (:func:`_nonzero`), as (loss, censor) pairs of blocks of at most
+    ``_BLOCK_ROWS``; censor is None for complete data.
 
     The loss uniforms are positions [0, n) of the stream and the censor
     uniforms positions [n, 2n).  One block draws both runs in one call.
@@ -259,7 +251,7 @@ def _unit_blocks(rng, n, censored):
     """
     gen = rng.generator()
     if n <= _BLOCK_ROWS:
-        u = gen.random(2 * n if censored else n)
+        u = _nonzero(gen.random(2 * n if censored else n))
         yield u[:n], u[n:] if censored else None
         return
     if censored:
@@ -268,36 +260,27 @@ def _unit_blocks(rng, n, censored):
         censor_gen.random(n % 4)
     for start in range(0, n, _BLOCK_ROWS):
         size = min(_BLOCK_ROWS, n - start)
-        yield gen.random(size), censor_gen.random(size) if censored else None
+        yield _nonzero(gen.random(size)), _nonzero(censor_gen.random(size)) if censored else None
 
 
 def _transformed_top(spec, n, m, rng):
     """The top m rows by the quantile of every uniform, merged block by
-    block; None once a zero uniform is drawn.
+    block; with m None every row, in the order drawn.
 
     Every block is checked as :class:`~censtail.samples.CensoredSample`
-    checks the whole sample, before any of its rows is dropped.  After a
-    failing block the stream is still searched for zeros, because a zero
-    loss uniform further on would move every censor uniform and so change
-    the sample that failed.
+    checks the whole sample, before any of its rows is dropped.
     """
-    kept, bad = _RunningTop(m), False
+    kept = _RunningTop(m)
     for u_loss, u_censor in _unit_blocks(rng, n, spec.censor is not None):
-        if not u_loss.all() or (u_censor is not None and not u_censor.all()):
-            return None
-        if bad:
-            continue
         x = spec.loss.quantile(u_loss)
         if u_censor is None:
             z, delta = x, np.ones(x.size, dtype=np.int8)
         else:
             c = spec.censor.quantile(u_censor)
             z, delta = np.minimum(x, c), (x <= c).astype(np.int8)
-        bad = not (np.isfinite(z).all() and (z > 0).all())
-        if not bad:
-            kept.add(z, delta)
-    if bad:
-        raise NonPositiveObservation("all observations must be finite and strictly positive")
+        if not (np.isfinite(z).all() and (z > 0).all()):
+            raise NonPositiveObservation("all observations must be finite and strictly positive")
+        kept.add(z, delta)
     return _unchecked(*kept.rows())
 
 
@@ -307,7 +290,7 @@ def _word_blocks(rng, n):
 
     For Philox ``Generator.random`` is the word shifted right by 11 times
     2^-53 (:func:`_uniforms`), one word a draw, so the words order the
-    uniforms and a word below 2^11 is a zero uniform.
+    uniforms and a word below 2^11 is a draw of 0.
     """
     raw = rng.generator().bit_generator.random_raw
     for start in range(0, n, _BLOCK_ROWS):
@@ -315,8 +298,10 @@ def _word_blocks(rng, n):
 
 
 def _uniforms(words):
-    """The uniforms ``Generator.random`` makes of raw Philox ``words``."""
-    return (words >> 11) * 2.0**-53
+    """The uniforms ``Generator.random`` makes of raw Philox ``words``, with
+    a 0 counted as 2^-53 (:func:`_nonzero`); a Python int gives a Python
+    float."""
+    return _nonzero((words >> 11) * 2.0**-53)
 
 
 def _cut_word(m, n):
@@ -334,7 +319,7 @@ def _cut_word(m, n):
 
 def _complete_top(spec, n, m, rng):
     """The top m rows of complete data, found among the uniforms before the
-    quantile is taken; None once a zero uniform is drawn.
+    quantile is taken.
 
     The quantile is increasing, so the rows it ranks highest come from the
     highest uniforms, and only the running top m + 1 of the uniforms is
@@ -356,8 +341,6 @@ def _complete_top(spec, n, m, rng):
     for words in _word_blocks(rng, n):
         low = min(low, int(words.min()))
         kept.add(_uniforms(words[words >= cut]))
-    if low >> 11 == 0:
-        return None
     (u,) = kept.rows()
     if u.size < min(m + 1, n):
         return _transformed_top(spec, n, m, rng)

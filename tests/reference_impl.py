@@ -13,6 +13,9 @@ table in :mod:`censtail.kernels`.
 ``censtail.estimators._suffix_sums`` for every length, the reference for
 its one-block shortcut.
 
+``whole_sample`` draws the sample of ``censtail.sample_censored`` whole,
+the reference for the block samplers in :mod:`censtail.models`.
+
 ``empirical_H``, ``empirical_H1`` and ``survival_before`` give the
 empirical distribution of the observed values, the empirical
 sub-distribution of the uncensored ones and a curve's left limit: the
@@ -23,6 +26,7 @@ which the integral-form oracles of the estimators are built.
 import numpy as np
 
 from censtail.errors import DegenerateP, ZeroSurvivalAtThreshold
+from censtail.samples import CensoredSample
 from censtail.survival import (
     StepCurve,
     _drop_flat_steps,
@@ -123,6 +127,21 @@ def blocked_suffix_sums(x, block=256):
     sums = np.zeros((*lead, m + 1), x.dtype)
     sums[..., :m] = blocks.reshape(*lead, count * block)[..., m - 1::-1]
     return sums
+
+
+def whole_sample(spec, n, rng):
+    """All n loss uniforms of the stream, then all n censor uniforms, with a
+    draw of exactly 0 taken as 2^-53, each through its quantile at once."""
+    gen = rng.generator()
+    u_loss = gen.random(n)
+    u_loss[u_loss == 0.0] = 2.0**-53
+    x = spec.loss.quantile(u_loss)
+    if spec.censor is None:
+        return CensoredSample(x, np.ones(n, dtype=np.int8))
+    u_censor = gen.random(n)
+    u_censor[u_censor == 0.0] = 2.0**-53
+    c = spec.censor.quantile(u_censor)
+    return CensoredSample(np.minimum(x, c), (x <= c).astype(np.int8))
 
 
 def empirical_H(sample):

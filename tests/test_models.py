@@ -21,6 +21,7 @@ from censtail import (
 from censtail import models
 from censtail.errors import DomainError, NonPositiveObservation
 from censtail.models import _top_sample
+from reference_impl import whole_sample
 
 
 class TestBurr:
@@ -231,7 +232,7 @@ TOP_MODELS = [
 
 
 def whole_top(spec, n, m, rng):
-    return top_order_statistics(sample_censored(spec, n, rng), m)
+    return top_order_statistics(whole_sample(spec, n, rng), m)
 
 
 def assert_same_rows(got, want):
@@ -243,13 +244,15 @@ def assert_same_rows(got, want):
 @given(st.sampled_from(TOP_MODELS), st.integers(1, 21), st.integers(1, 21),
        st.integers(0, 2**64 - 1), st.integers(1, 50))
 def test_top_sample_is_the_top_of_the_whole_sample(spec, n, m, seed, index):
-    """Drawn in blocks of 7, so up to three blocks merge, the top rows are
-    those of the whole sample, for m = n as well."""
+    """Drawn in blocks of 7, so up to three blocks merge, the sample is the
+    whole sample and the top rows are its top rows, for m = n as well."""
     m = min(m, n)
     rng = RngStream(seed, index)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(models, "_BLOCK_ROWS", 7)
+        sample = sample_censored(spec, n, rng)
         got, got_all = _top_sample(spec, n, m, rng), _top_sample(spec, n, n, rng)
+    assert_same_rows(sample, whole_sample(spec, n, rng))
     assert_same_rows(got, whole_top(spec, n, m, rng))
     assert_same_rows(got_all, whole_top(spec, n, n, rng))
 
@@ -267,13 +270,10 @@ class _Stream:
 
 class _Generator:
     """Holds the values as Philox words and serves them as Philox does:
-    ``random_raw`` gives the words, ``random`` (word >> 11) * 2^-53.  The
-    11 low bits, which ``random`` drops, are all set, so that the word of a
-    zero uniform is not 0."""
+    ``random_raw`` gives the words, ``random`` (word >> 11) * 2^-53."""
 
     def __init__(self, values):
-        words = np.round(np.asarray(values) * 2.0**53).astype(np.uint64) << 11
-        self.words = words | 0x7FF
+        self.words = np.round(np.asarray(values) * 2.0**53).astype(np.uint64) << 11
         self.position, self.bit_generator = 0, self
 
     def advance(self, blocks):  # as Philox counts: four draws a block
@@ -301,13 +301,25 @@ class TestTopSample:
     @pytest.mark.parametrize("spec", TOP_MODELS[::3], ids=["censored", "complete", "ties"])
     def test_zero_uniforms_are_redrawn_as_sample_censored_does(self, monkeypatch, spec,
                                                               zeros):
+        """A draw of 0 is not drawn again: it gives the row of a draw of
+        2^-53, in ``sample_censored`` and ``_top_sample`` alike."""
         # n = 21 in blocks of 7: positions 0-20 are the losses, 21-41 the censors
         monkeypatch.setattr(models, "_BLOCK_ROWS", 7)
         values = RngStream(8, 1).generator().random(60)
-        values[list(zeros)] = 0.0
+        smallest = values.copy()
+        values[list(zeros)], smallest[list(zeros)] = 0.0, 2.0**-53
+        want = whole_sample(spec, 21, _Stream(smallest))
+        assert_same_rows(sample_censored(spec, 21, _Stream(values)), want)
         for m in (1, 4, 21):
-            want = whole_top(spec, 21, m, _Stream(values))
-            assert_same_rows(_top_sample(spec, 21, m, _Stream(values)), want)
+            assert_same_rows(_top_sample(spec, 21, m, _Stream(values)),
+                             top_order_statistics(want, m))
+
+    def test_uniforms_count_a_zero_draw_as_the_smallest_draw(self):
+        words = [0, 2047, 2048, 4096]
+        want = [2.0**-53, 2.0**-53, 2.0**-53, 2.0**-52]
+        assert models._uniforms(np.array(words, dtype=np.uint64)).tolist() == want
+        assert [models._uniforms(word) for word in words] == want
+        assert type(models._uniforms(0)) is float
 
     def test_a_failing_guard_transforms_every_block(self, monkeypatch):
         # gamma 3e-16 maps neighbouring uniforms to one value: the top m + 1
@@ -379,21 +391,13 @@ class TestTopSample:
             sample_censored(spec, 1000, rng)
         with pytest.raises(NonPositiveObservation):
             _top_sample(spec, 1000, 10, rng)
-
-    def test_a_failing_block_waits_for_a_later_zero(self, monkeypatch):
-        """A zero loss uniform moves every censor uniform by one, so the one
-        that failed may leave the sample: a failing block is final only once
-        the stream has no zero."""
-        monkeypatch.setattr(models, "_BLOCK_ROWS", 7)
+        # a censor value that underflows fails too: here row 0's, in the first
+        # censor block
         spec = ModelSpec(loss=Burr(0.4, 0.25), censor=Frechet(1000.0))
-        values = RngStream(3, 1).generator().random(60)
+        values = RngStream(3, 1).generator().random(42)
         values[21:] = 0.5 + values[21:] / 2  # censor values 10^159 or more: z = x
-        values[21] = 0.01  # censors row 0 at 0, unless a redraw takes it
-        values[15] = 0.0  # the loss redraw that takes it
+        values[21] = 0.01  # censors row 0 at 0
         with np.errstate(over="ignore"):
-            want = whole_top(spec, 21, 5, _Stream(values))
-            assert_same_rows(_top_sample(spec, 21, 5, _Stream(values)), want)
-            values[15] = 0.3
             with pytest.raises(NonPositiveObservation):
                 sample_censored(spec, 21, _Stream(values))
             with pytest.raises(NonPositiveObservation):
