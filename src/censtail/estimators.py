@@ -37,6 +37,7 @@ from .kernels import INDICATOR, Kernel
 from .samples import (
     SortedCensoredSample,
     Table,
+    _integer,
     sort_with_concomitants,
     top_order_statistics,
 )
@@ -47,16 +48,9 @@ ESTIMATOR_NAMES = ("hill", "p_hat", "efg", "worms", "mns")
 KERNEL_COLUMN_PREFIX = "kernel_"
 
 
-def _integer_k(k):
-    """``k`` as a Python int; a boolean or a non-integer is InvalidK."""
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise InvalidK(f"k must be an integer, got {k!r}")
-    return int(k)
-
-
 def _check_k(k, n, allow_n=False):
     limit = n if allow_n else n - 1
-    k = _integer_k(k)
+    k = _integer(k, "k", InvalidK)
     if not 1 <= k <= limit:
         raise InvalidK(f"k must satisfy 1 <= k <= {limit} (n = {n}), got {k}")
     return k
@@ -368,7 +362,7 @@ class EstimatePath:
     estimates: dict
 
     def __post_init__(self):
-        k_values = tuple(_integer_k(k) for k in self.k_values)
+        k_values = tuple(_integer(k, "k", InvalidK) for k in self.k_values)
         if any(k < 1 for k in k_values):
             raise InvalidK("all k values must be >= 1")
         if any(b <= a for a, b in zip(k_values, k_values[1:])):

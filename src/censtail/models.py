@@ -3,10 +3,12 @@
 The simulation design draws losses from a Burr distribution (or plain
 Pareto for complete-data checks) and censors them by an independent Frechet
 variable; all three have closed-form quantile functions, so sampling is a
-pure function of uniform draws from a counter-based generator, which makes
-parallel and serial runs bit-identical.  A draw of exactly 0 counts as
-2^-53, the smallest positive draw, so that every draw depends only on its
-position in the stream.
+pure function of draws from a counter-based generator, which makes
+parallel and serial runs bit-identical.  Every stream, censored or
+complete, is read as raw 64-bit words, and :func:`_uniforms` alone turns
+them into the doubles ``Generator.random`` would give.  A draw of exactly
+0 counts as 2^-53, the smallest positive draw, so that every draw depends
+only on its position in the stream.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NonPositiveObservation
-from .samples import _RunningTop, _unchecked, top_order_statistics
+from .samples import CensoredSample, _integer, _RunningTop, _unchecked, top_order_statistics
 
-_BLOCK_ROWS = 1 << 16  # uniforms per block of _top_sample, as read_csv parses rows
+_BLOCK_ROWS = 1 << 16  # draws per block of _top_sample, as read_csv parses rows
 
 
 def _as_prob(u, lo_open, name="u"):
@@ -37,11 +39,10 @@ def _scalar_like(u, out):
     return out
 
 
-def _integer(value, name):
-    """``value`` as a Python int; a boolean or a non-integer is a DomainError."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+def _positive(value, name):
+    """Refuse a model parameter that is not positive and finite."""
+    if not (value > 0 and np.isfinite(value)):
+        raise DomainError(f"{name} must be positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -56,14 +57,8 @@ class Burr:
     eta: float
 
     def __post_init__(self):
-        if not (self.gamma1 > 0 and np.isfinite(self.gamma1)):
-            raise DomainError(f"gamma1 must be positive, got {self.gamma1}")
-        if not (self.eta > 0 and np.isfinite(self.eta)):
-            raise DomainError(f"eta must be positive, got {self.eta}")
-
-    @property
-    def tail_index(self):
-        return self.gamma1
+        _positive(self.gamma1, "gamma1")
+        _positive(self.eta, "eta")
 
     def cdf(self, x):
         arr = np.maximum(np.asarray(x, dtype=float), 0.0)
@@ -87,12 +82,7 @@ class Pareto:
     gamma1: float
 
     def __post_init__(self):
-        if not (self.gamma1 > 0 and np.isfinite(self.gamma1)):
-            raise DomainError(f"gamma1 must be positive, got {self.gamma1}")
-
-    @property
-    def tail_index(self):
-        return self.gamma1
+        _positive(self.gamma1, "gamma1")
 
     def cdf(self, x):
         arr = np.maximum(np.asarray(x, dtype=float), 1.0)
@@ -112,12 +102,7 @@ class Frechet:
     gamma2: float
 
     def __post_init__(self):
-        if not (self.gamma2 > 0 and np.isfinite(self.gamma2)):
-            raise DomainError(f"gamma2 must be positive, got {self.gamma2}")
-
-    @property
-    def tail_index(self):
-        return self.gamma2
+        _positive(self.gamma2, "gamma2")
 
     def cdf(self, x):
         arr = np.asarray(x, dtype=float)
@@ -138,8 +123,7 @@ def gamma2_from_p(gamma1, p):
     Solves p = gamma2 / (gamma1 + gamma2); p = 1 has no finite solution
     (complete data is modeled by censor=None instead).
     """
-    if not (gamma1 > 0 and np.isfinite(gamma1)):
-        raise DomainError(f"gamma1 must be positive, got {gamma1}")
+    _positive(gamma1, "gamma1")
     if not 0.0 < p < 1.0:
         raise DomainError(f"p must lie strictly between 0 and 1, got {p}")
     return p * gamma1 / (1.0 - p)
@@ -157,7 +141,7 @@ class ModelSpec:
 
     @property
     def gamma1(self):
-        return self.loss.tail_index
+        return self.loss.gamma1
 
     @property
     def p(self):
@@ -165,7 +149,7 @@ class ModelSpec:
         observations under independent Pareto-type censoring."""
         if self.censor is None:
             return 1.0
-        return self.censor.gamma2 / (self.loss.tail_index + self.censor.gamma2)
+        return self.censor.gamma2 / (self.loss.gamma1 + self.censor.gamma2)
 
 
 @dataclass(frozen=True)
@@ -182,7 +166,7 @@ class RngStream:
 
     def __post_init__(self):
         for field in ("master_seed", "stream_index"):
-            value = _integer(getattr(self, field), field)
+            value = _integer(getattr(self, field), field, DomainError)
             if not 0 <= value < 2**64:
                 raise DomainError(f"{field} must be an unsigned 64-bit integer")
             object.__setattr__(self, field, value)
@@ -196,27 +180,18 @@ class RngStream:
 _ZERO_DRAW = 2.0**-53  # what a draw of exactly 0 counts as: the smallest positive draw
 
 
-def _nonzero(u):
-    """The draws ``u`` with an exact 0 counted as ``_ZERO_DRAW``, so that
-    each lies in (0, 1), inside the domain of every quantile: an array in
-    place, a float as a Python float, which costs less than a numpy scalar.
-    Every draw is a multiple of 2^-53, so only a 0 is raised."""
-    if isinstance(u, float):
-        return max(u, _ZERO_DRAW)
-    return np.maximum(u, _ZERO_DRAW, out=u)
-
-
 def sample_censored(spec, n, rng):
     """Draw a censored sample of size n from a model specification.
 
     Losses and censoring values are drawn independently through their
     quantile transforms; each observation is the minimum of the two with an
     indicator telling whether the loss itself was observed.  The loss
-    uniforms are positions [0, n) of the stream and the censoring uniforms
-    positions [n, 2n), and a draw of exactly 0 counts as 2^-53, so each row
-    is a deterministic function of the draws at its own two positions.
+    draws are the raw words at positions [0, n) of the stream and the
+    censoring draws those at positions [n, 2n), each made a uniform by
+    :func:`_uniforms`, which counts a draw of exactly 0 as 2^-53, so each
+    row is a deterministic function of the words at its own two positions.
     """
-    if _integer(n, "sample size") < 1:
+    if _integer(n, "sample size", DomainError) < 1:
         raise DomainError(f"sample size must be >= 1, got {n}")
     return _transformed_top(spec, n, None, rng)
 
@@ -225,83 +200,75 @@ def _top_sample(spec, n, m, rng):
     """``top_order_statistics(sample_censored(spec, n, rng), m)``, bit for
     bit, drawn without holding the n rows.
 
-    The uniforms come in blocks (:func:`_unit_blocks`) and each block is
+    The raw words come in blocks (:func:`_word_blocks`) and each block is
     merged into a running top, so a call takes O(m + block) memory and time
     still grows with n.  With complete data the running top is kept in
     u-space and only its uniforms go through the quantile
     (:func:`_complete_top`); censored blocks are transformed whole
-    (:func:`_transformed_top`).  Both count a draw of exactly 0 as 2^-53
-    (:func:`_nonzero`), as ``sample_censored`` does.
+    (:func:`_transformed_top`).  Both make uniforms of the words with
+    :func:`_uniforms`, as ``sample_censored`` does.
     """
     if spec.censor is None:
         return _complete_top(spec, n, m, rng)
     return _transformed_top(spec, n, m, rng)
 
 
-def _unit_blocks(rng, n, censored):
-    """The uniforms of a sample of size n, a 0 counted as 2^-53
-    (:func:`_nonzero`), as (loss, censor) pairs of blocks of at most
-    ``_BLOCK_ROWS``; censor is None for complete data.
+def _word_blocks(rng, n, censored):
+    """The raw 64-bit words of a sample of size n, as (loss, censor) pairs
+    of blocks of at most ``_BLOCK_ROWS``; censor is None for complete data.
 
-    The loss uniforms are positions [0, n) of the stream and the censor
-    uniforms positions [n, 2n).  One block draws both runs in one call.
-    Otherwise a second generator on the same stream draws the censor
-    uniforms in step with the loss ones: ``advance`` moves it by blocks of
-    four draws, and the n % 4 draws left are drawn and discarded.
+    The loss words are positions [0, n) of the stream and the censor words
+    positions [n, 2n).  One block reads both runs in one call.  Otherwise
+    a second generator on the same stream reads the censor words in step
+    with the loss ones: ``advance`` moves it by blocks of four words, and
+    the n % 4 words left are read and discarded.
     """
-    gen = rng.generator()
+    bits = rng.generator().bit_generator
     if n <= _BLOCK_ROWS:
-        u = _nonzero(gen.random(2 * n if censored else n))
-        yield u[:n], u[n:] if censored else None
+        words = bits.random_raw(2 * n if censored else n)
+        yield words[:n], words[n:] if censored else None
         return
     if censored:
-        censor_gen = rng.generator()
-        censor_gen.bit_generator.advance(n // 4)
-        censor_gen.random(n % 4)
+        censor_bits = rng.generator().bit_generator
+        censor_bits.advance(n // 4)
+        censor_bits.random_raw(n % 4)
     for start in range(0, n, _BLOCK_ROWS):
         size = min(_BLOCK_ROWS, n - start)
-        yield _nonzero(gen.random(size)), _nonzero(censor_gen.random(size)) if censored else None
+        yield bits.random_raw(size), censor_bits.random_raw(size) if censored else None
+
+
+def _uniforms(words):
+    """The uniforms ``Generator.random`` makes of raw Philox ``words``, the
+    word shifted right by 11 times 2^-53, with a 0 counted as
+    ``_ZERO_DRAW`` so that each lies in (0, 1), inside the domain of every
+    quantile.  Every draw is a multiple of 2^-53, so only a 0 is raised.
+    A Python int gives a Python float, which costs less than a numpy
+    scalar."""
+    u = (words >> 11) * 2.0**-53
+    if isinstance(u, float):
+        return max(u, _ZERO_DRAW)
+    return np.maximum(u, _ZERO_DRAW, out=u)
 
 
 def _transformed_top(spec, n, m, rng):
-    """The top m rows by the quantile of every uniform, merged block by
+    """The top m rows by the quantile of every draw, merged block by
     block; with m None every row, in the order drawn.
 
     Every block is checked as :class:`~censtail.samples.CensoredSample`
     checks the whole sample, before any of its rows is dropped.
     """
     kept = _RunningTop(m)
-    for u_loss, u_censor in _unit_blocks(rng, n, spec.censor is not None):
-        x = spec.loss.quantile(u_loss)
-        if u_censor is None:
+    for loss_words, censor_words in _word_blocks(rng, n, spec.censor is not None):
+        x = spec.loss.quantile(_uniforms(loss_words))
+        if censor_words is None:
             z, delta = x, np.ones(x.size, dtype=np.int8)
         else:
-            c = spec.censor.quantile(u_censor)
+            c = spec.censor.quantile(_uniforms(censor_words))
             z, delta = np.minimum(x, c), (x <= c).astype(np.int8)
         if not (np.isfinite(z).all() and (z > 0).all()):
             raise NonPositiveObservation("all observations must be finite and strictly positive")
         kept.add(z, delta)
-    return _unchecked(*kept.rows())
-
-
-def _word_blocks(rng, n):
-    """The loss stream of :func:`_unit_blocks` for complete data as the
-    generator's raw 64-bit words, in the same blocks.
-
-    For Philox ``Generator.random`` is the word shifted right by 11 times
-    2^-53 (:func:`_uniforms`), one word a draw, so the words order the
-    uniforms and a word below 2^11 is a draw of 0.
-    """
-    raw = rng.generator().bit_generator.random_raw
-    for start in range(0, n, _BLOCK_ROWS):
-        yield raw(min(_BLOCK_ROWS, n - start))
-
-
-def _uniforms(words):
-    """The uniforms ``Generator.random`` makes of raw Philox ``words``, with
-    a 0 counted as 2^-53 (:func:`_nonzero`); a Python int gives a Python
-    float."""
-    return _nonzero((words >> 11) * 2.0**-53)
+    return _unchecked(CensoredSample, *kept.rows())
 
 
 def _cut_word(m, n):
@@ -338,7 +305,7 @@ def _complete_top(spec, n, m, rng):
     kept, low, cut = _RunningTop(m + 1), 1 << 64, _cut_word(m, n)
     if cut >> 64:  # no word passes
         return _transformed_top(spec, n, m, rng)
-    for words in _word_blocks(rng, n):
+    for words, _ in _word_blocks(rng, n, False):
         low = min(low, int(words.min()))
         kept.add(_uniforms(words[words >= cut]))
     (u,) = kept.rows()
@@ -353,4 +320,4 @@ def _complete_top(spec, n, m, rng):
         x = x[top]
     if not ok:
         return _transformed_top(spec, n, m, rng)
-    return top_order_statistics(_unchecked(x, np.ones(x.size, dtype=np.int8)), m)
+    return top_order_statistics(_unchecked(CensoredSample, x, np.ones(x.size, dtype=np.int8)), m)

@@ -56,6 +56,22 @@ def _store(sample, z, delta):
     object.__setattr__(sample, "delta", _freeze(delta))
 
 
+def _unchecked(cls, z, delta):
+    """A ``cls`` sample of float ``z`` and int8 ``delta`` already checked,
+    stored without checking them again."""
+    out = object.__new__(cls)
+    _store(out, z, delta)
+    return out
+
+
+def _integer(value, name, error, **fields):
+    """``value`` as a Python int; a boolean or a non-integer raises
+    ``error`` with ``fields``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}", **fields)
+    return int(value)
+
+
 @dataclass(frozen=True)
 class CensoredSample:
     """Raw right-censored observations ``(z_i, delta_i)``.
@@ -116,9 +132,8 @@ def sort_with_concomitants(sample):
     SortedCensoredSample
     """
     order = np.lexsort((-sample.delta, sample.z))
-    out = object.__new__(SortedCensoredSample)  # validated, and ordered by construction
-    _store(out, sample.z[order], sample.delta[order])
-    return out
+    # validated, and ordered by construction
+    return _unchecked(SortedCensoredSample, sample.z[order], sample.delta[order])
 
 
 def top_order_statistics(sample, m):
@@ -152,9 +167,7 @@ def top_order_statistics(sample, m):
     else:
         top = _top_mask(z, m)
         z, delta = z[top], delta[top]
-    out = object.__new__(type(sample))  # rows of a validated sample, in its order
-    _store(out, z, delta)
-    return out
+    return _unchecked(type(sample), z, delta)  # rows of a validated sample, in its order
 
 
 def _top_mask(z, m):
@@ -324,17 +337,10 @@ def _read_path_fast(path, header, top=None):
                 kept.add(z, delta.astype(np.int8))
         if kept.n == 0 or _longest_line(path) > csv.field_size_limit():
             return None  # no data rows is the scanner's EmptySample
-        sample = _unchecked(*kept.rows())
+        sample = _unchecked(CensoredSample, *kept.rows())
         return sample if top is None else TopRows(kept.n, sample)
     except Exception:  # any failure leaves the verdict, and the error, to the scanner
         return None
-
-
-def _unchecked(z, delta):
-    """A CensoredSample of rows already checked."""
-    out = object.__new__(CensoredSample)
-    _store(out, z, delta)
-    return out
 
 
 def _longest_line(path, chunk=1 << 20):
@@ -355,7 +361,8 @@ def _longest_line(path, chunk=1 << 20):
 
 
 def _scan_csv(source, header):
-    """The row scanner: csv.reader and ``float`` on each row."""
+    """The row scanner: csv.reader and ``float`` on each row, each row
+    checked as it is read, as :class:`CensoredSample` checks a sample."""
     owned = isinstance(source, (str, os.PathLike))
     stream = open(source, "r", encoding="utf-8-sig", newline="") if owned else source
     try:
@@ -401,7 +408,7 @@ def _scan_csv(source, header):
             stream.close()
     if not values:
         raise EmptySample("CSV file contains no data rows")
-    return CensoredSample(np.asarray(values), np.asarray(deltas))
+    return _unchecked(CensoredSample, np.array(values), np.array(deltas, dtype=np.int8))
 
 
 def _csv_rows(stream):

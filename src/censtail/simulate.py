@@ -25,7 +25,7 @@ from .kernels import (
     builtin_kernel,
 )
 from .models import Burr, Frechet, ModelSpec, Pareto, RngStream, _top_sample
-from .samples import Table
+from .samples import Table, _integer
 
 CONFIG_SCHEMA = "censtail-sim-config/1"
 RESULT_SCHEMA = "censtail-sim-result/1"
@@ -61,7 +61,8 @@ class SimulationConfig:
         if not isinstance(self.model, ModelSpec):
             raise ConfigError("model must be a ModelSpec", field="model")
         for field in ("n", "replications", "master_seed", "workers"):
-            object.__setattr__(self, field, _integer(getattr(self, field), field))
+            value = _integer(getattr(self, field), field, ConfigError, field=field)
+            object.__setattr__(self, field, value)
         if self.n < 2:
             raise ConfigError(f"n must be >= 2, got {self.n}", field="n")
         if self.replications < 1:
@@ -69,7 +70,8 @@ class SimulationConfig:
                 f"replications must be >= 1, got {self.replications}",
                 field="replications",
             )
-        k_values = tuple(_integer(k, "k_values") for k in _listed(self.k_values, "k_values"))
+        k_values = tuple(_integer(k, "k_values", ConfigError, field="k_values")
+                         for k in _listed(self.k_values, "k_values"))
         if not k_values:
             raise ConfigError("k_values must be nonempty", field="k_values")
         if any(b <= a for a, b in zip(k_values, k_values[1:])):
@@ -143,13 +145,6 @@ class SimulationConfig:
             k_values=k_values,
             **optional,
         )
-
-
-def _integer(value, field):
-    """``value`` as a Python int; a boolean or a non-integer is a ConfigError."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigError(f"{field} must be an integer, got {value!r}", field=field)
-    return int(value)
 
 
 def _listed(value, field):
@@ -229,10 +224,7 @@ def _parse_model(doc):
 
 def _parse_k(doc, n):
     if "k_values" in doc:
-        values = doc["k_values"]
-        if not isinstance(values, list) or not all(isinstance(v, int) for v in values):
-            raise ConfigError("k_values must be a list of integers", field="k_values")
-        return tuple(values)
+        return doc["k_values"]  # checked by SimulationConfig
     if "k_grid" in doc:
         grid = _get(doc, "k_grid", dict)
         lo = _get(grid, "min", int, path="k_grid")
@@ -322,13 +314,8 @@ def _collect_paths(config):
     try:
         if workers <= 1:
             return _replicate_paths(config, 1, total + 1)
-        chunks = []
         per = math.ceil(total / (workers * 4))
-        start = 1
-        while start <= total:
-            stop = min(start + per, total + 1)
-            chunks.append((start, stop))
-            start = stop
+        chunks = [(start, min(start + per, total + 1)) for start in range(1, total + 1, per)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             pieces = list(
                 pool.map(_replicate_paths, [config] * len(chunks), *zip(*chunks))

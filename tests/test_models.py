@@ -138,9 +138,9 @@ class TestRngStream:
         assert np.array_equal(stream.generator().random(4), RngStream(42, 3).generator().random(4))
 
     def test_philox_random_is_the_raw_word_shifted(self):
-        """Complete data picks its top on raw words (models._uniforms): a
-        numpy release that changed how Generator.random makes a double of a
-        Philox word would fail here instead of moving the simulator's draws."""
+        """Every stream is read as raw words (models._uniforms): a numpy
+        release that changed how Generator.random makes a double of a Philox
+        word would fail here instead of moving the sampler's draws."""
         key = (3 << 64) | 42
         gen = np.random.Generator(np.random.Philox(key=key))
         raw = np.random.Philox(key=key)
@@ -287,6 +287,18 @@ class _Generator:
         return (self.random_raw(size) >> 11) * 2.0**-53
 
 
+class _RawStream(_Stream):
+    """A ``_Stream`` whose generators serve only raw words."""
+
+    def generator(self):
+        return _RawGenerator(self.values)
+
+
+class _RawGenerator(_Generator):
+    def random(self, size):
+        raise AssertionError("the sampler called Generator.random")
+
+
 class TestTopSample:
     @pytest.mark.parametrize("spec", TOP_MODELS[::3], ids=["censored", "complete", "ties"])
     @pytest.mark.parametrize("n", [(1 << 16) - 1, 1 << 16, (1 << 16) + 1, 3 << 16])
@@ -312,6 +324,20 @@ class TestTopSample:
         assert_same_rows(sample_censored(spec, 21, _Stream(values)), want)
         for m in (1, 4, 21):
             assert_same_rows(_top_sample(spec, 21, m, _Stream(values)),
+                             top_order_statistics(want, m))
+
+    @pytest.mark.parametrize("n", [5, 21])
+    @pytest.mark.parametrize("spec", TOP_MODELS[::3], ids=["censored", "complete", "ties"])
+    def test_every_stream_is_read_as_raw_words(self, monkeypatch, spec, n):
+        """Neither sampler calls ``Generator.random``: the loss and censor
+        runs, in one block (n = 5) or several (n = 21), are raw words made
+        uniforms by ``_uniforms`` alone."""
+        monkeypatch.setattr(models, "_BLOCK_ROWS", 7)
+        values = RngStream(6, 1).generator().random(2 * n)
+        want = whole_sample(spec, n, _Stream(values))
+        assert_same_rows(sample_censored(spec, n, _RawStream(values)), want)
+        for m in (1, 4, n):
+            assert_same_rows(_top_sample(spec, n, m, _RawStream(values)),
                              top_order_statistics(want, m))
 
     def test_uniforms_count_a_zero_draw_as_the_smallest_draw(self):
