@@ -11,9 +11,9 @@ whole k grid is an O(n) selection of the top k_max + 1 order statistics,
 already sorted), a sort of that top slice, then O(k_max) vectorised suffix
 sums over it, gathered at the threshold of each k; the Nelson-Aalen and
 Kaplan-Meier ratios come from the hazards inside the slice.  The simulator
-hands its unsorted samples straight to the engine, and ``censtail
-estimate`` reads only the selection (``read_csv(path, top=k_max + 1)``) and
-sorts it, so neither sorts a whole sample.  The
+draws each replication's top already sorted, which the engine takes as it
+is, and ``censtail estimate`` reads only the selection (``read_csv(path,
+top=k_max + 1)``) and sorts it, so neither sorts a whole sample.  The
 built-in kernels enter through the polynomial coefficients of g'; a custom
 kernel has no such form and costs O(k) per k of the grid.  ``mns`` is the
 kernel estimator with the indicator kernel.

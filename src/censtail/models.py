@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NonPositiveObservation
-from .samples import CensoredSample, _integer, _RunningTop, _unchecked, top_order_statistics
+from .samples import (CensoredSample, SortedCensoredSample, _integer, _RunningTop,
+                      _unchecked, sort_with_concomitants)
 
 _BLOCK_ROWS = 1 << 16  # draws per block of _top_sample, as read_csv parses rows
 
@@ -197,16 +198,17 @@ def sample_censored(spec, n, rng):
 
 
 def _top_sample(spec, n, m, rng):
-    """``top_order_statistics(sample_censored(spec, n, rng), m)``, bit for
-    bit, drawn without holding the n rows.
+    """``sort_with_concomitants(top_order_statistics(sample_censored(spec,
+    n, rng), m))``, bit for bit, drawn without holding the n rows.
 
-    The raw words come in blocks (:func:`_word_blocks`) and each block is
-    merged into a running top, so a call takes O(m + block) memory and time
-    still grows with n.  With complete data the running top is kept in
-    u-space and only its uniforms go through the quantile
-    (:func:`_complete_top`); censored blocks are transformed whole
+    The raw words come in blocks (:func:`_word_blocks`), so a call takes
+    O(m + block) memory and time still grows with n.  With complete data
+    only the words above a cut are kept, and only the top m + 1 of them
+    become uniforms and go through the quantile (:func:`_complete_top`);
+    censored blocks are transformed whole and merged into a running top
     (:func:`_transformed_top`).  Both make uniforms of the words with
-    :func:`_uniforms`, as ``sample_censored`` does.
+    :func:`_uniforms`, as ``sample_censored`` does, and both hand back the
+    top already sorted, so the engine sorts nothing.
     """
     if spec.censor is None:
         return _complete_top(spec, n, m, rng)
@@ -241,18 +243,15 @@ def _uniforms(words):
     """The uniforms ``Generator.random`` makes of raw Philox ``words``, the
     word shifted right by 11 times 2^-53, with a 0 counted as
     ``_ZERO_DRAW`` so that each lies in (0, 1), inside the domain of every
-    quantile.  Every draw is a multiple of 2^-53, so only a 0 is raised.
-    A Python int gives a Python float, which costs less than a numpy
-    scalar."""
+    quantile.  Every draw is a multiple of 2^-53, so only a 0 is raised."""
     u = (words >> 11) * 2.0**-53
-    if isinstance(u, float):
-        return max(u, _ZERO_DRAW)
     return np.maximum(u, _ZERO_DRAW, out=u)
 
 
 def _transformed_top(spec, n, m, rng):
-    """The top m rows by the quantile of every draw, merged block by
-    block; with m None every row, in the order drawn.
+    """The top m rows by the quantile of every draw, merged block by block
+    and sorted by :func:`~censtail.samples.sort_with_concomitants`; with m
+    None every row, in the order drawn.
 
     Every block is checked as :class:`~censtail.samples.CensoredSample`
     checks the whole sample, before any of its rows is dropped.
@@ -268,7 +267,8 @@ def _transformed_top(spec, n, m, rng):
         if not (np.isfinite(z).all() and (z > 0).all()):
             raise NonPositiveObservation("all observations must be finite and strictly positive")
         kept.add(z, delta)
-    return _unchecked(CensoredSample, *kept.rows())
+    sample = _unchecked(CensoredSample, *kept.rows())
+    return sample if m is None else sort_with_concomitants(sample)
 
 
 def _cut_word(m, n):
@@ -285,39 +285,35 @@ def _cut_word(m, n):
 
 
 def _complete_top(spec, n, m, rng):
-    """The top m rows of complete data, found among the uniforms before the
-    quantile is taken.
+    """The top m rows of complete data, sorted, found among the raw words
+    before the quantile is taken.
 
     The quantile is increasing, so the rows it ranks highest come from the
-    highest uniforms, and only the running top m + 1 of the uniforms is
-    transformed.  The stream is read as raw words (:func:`_word_blocks`),
-    and each block first drops the words below the cut word
-    (:func:`_cut_word`), above which about 8(m + 1) of the n lie; only
-    the words that pass become uniforms.  That spares the running top a
-    copy and a partition of the whole block, a copy that malloc can map
-    and unmap on every replication.  Every block is transformed instead
-    (:func:`_transformed_top`) when fewer than m + 1 uniforms pass the
-    cut, and when a guard fails: the lowest kept uniform, the largest
-    outside the top m, must map strictly below every row of the top m,
-    which rounding could break at a tie, and the smallest uniform of all
-    must map to a finite positive value, as then every dropped one does.
+    highest words.  Each block keeps only the words at or above the cut
+    word (:func:`_cut_word`), above which about 8(m + 1) of the n lie, and
+    notes its smallest word.  Only the words kept are sorted, and only the
+    top m + 1 of them (all n when n <= m) become uniforms and go through
+    the quantile, in one call with the smallest word.  Every block is
+    transformed instead (:func:`_transformed_top`) when fewer than m + 1
+    words pass the cut, and when a guard fails: the (m + 1)-th largest
+    uniform must map strictly below every row of the top m, which a tie
+    or rounding could break, and the smallest uniform of all must map to a
+    finite positive value, as then every dropped one does.
     """
-    kept, low, cut = _RunningTop(m + 1), 1 << 64, _cut_word(m, n)
+    cut = _cut_word(m, n)
     if cut >> 64:  # no word passes
         return _transformed_top(spec, n, m, rng)
+    cut, passed, low = np.uint64(cut), [], []
     for words, _ in _word_blocks(rng, n, False):
-        low = min(low, int(words.min()))
-        kept.add(_uniforms(words[words >= cut]))
-    (u,) = kept.rows()
-    if u.size < min(m + 1, n):
+        low.append(words.min())
+        passed.append(words[words >= cut])
+    words = np.concatenate(passed)
+    if words.size < min(m + 1, n):
         return _transformed_top(spec, n, m, rng)
-    x = spec.loss.quantile(np.append(u, _uniforms(low)))
-    ok = np.isfinite(x).all() and (x > 0).all()
-    x = x[:-1]
-    if ok and u.size > m:
-        top = u > u.min()
-        ok = np.count_nonzero(top) >= m and x[~top].max() < x[top].min()
-        x = x[top]
-    if not ok:
-        return _transformed_top(spec, n, m, rng)
-    return top_order_statistics(_unchecked(CensoredSample, x, np.ones(x.size, dtype=np.int8)), m)
+    words.sort()
+    # the smallest word, then the top m + 1 words (all n when n <= m), ascending
+    x = spec.loss.quantile(_uniforms(np.append(min(low), words[-m - 1:])))
+    z = np.sort(x[-min(m, n):])  # rounding may leave neighbouring quantiles out of order
+    if np.isfinite(x).all() and (x > 0).all() and (n <= m or x[-m - 1] < z[0]):
+        return _unchecked(SortedCensoredSample, z, np.ones(z.size, dtype=np.int8))
+    return _transformed_top(spec, n, m, rng)

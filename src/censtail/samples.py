@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import csv
 import io
-import operator
 import os
 import warnings
 from dataclasses import dataclass
@@ -155,7 +154,7 @@ def top_order_statistics(sample, m):
     m : int
         At least 1.
     """
-    if isinstance(m, bool) or (m := operator.index(m)) < 1:
+    if (m := _integer(m, "m", TypeError)) < 1:
         raise ValueError(f"m must be at least 1, got {m}")
     lo = sample.n - m  # sorted position of the m-th largest
     if lo <= 0:
@@ -283,7 +282,7 @@ def read_csv(source, *, header=None, top=None):
     EmptySample
         No data rows.
     """
-    if top is not None and (isinstance(top, bool) or operator.index(top) < 1):
+    if top is not None and _integer(top, "top", TypeError) < 1:
         raise ValueError(f"top must be at least 1, got {top}")
     if isinstance(source, (str, os.PathLike)):
         read = _read_path_fast(source, header, top)

@@ -231,11 +231,16 @@ TOP_MODELS = [
 ]
 
 
+def sorted_top(sample, m):
+    return sort_with_concomitants(top_order_statistics(sample, m))
+
+
 def whole_top(spec, n, m, rng):
-    return top_order_statistics(whole_sample(spec, n, rng), m)
+    return sorted_top(whole_sample(spec, n, rng), m)
 
 
 def assert_same_rows(got, want):
+    assert type(got) is type(want)
     assert got.z.tobytes() == want.z.tobytes()
     assert got.delta.tobytes() == want.delta.tobytes()
 
@@ -245,7 +250,7 @@ def assert_same_rows(got, want):
        st.integers(0, 2**64 - 1), st.integers(1, 50))
 def test_top_sample_is_the_top_of_the_whole_sample(spec, n, m, seed, index):
     """Drawn in blocks of 7, so up to three blocks merge, the sample is the
-    whole sample and the top rows are its top rows, for m = n as well."""
+    whole sample and the top is its sorted top, for m = n as well."""
     m = min(m, n)
     rng = RngStream(seed, index)
     with pytest.MonkeyPatch.context() as mp:
@@ -262,18 +267,26 @@ class _Stream:
     rounded to multiples of 2^-53 as every ``Generator.random`` draw is."""
 
     def __init__(self, values):
-        self.values = values
+        self.words = np.round(np.asarray(values) * 2.0**53).astype(np.uint64) << 11
 
     def generator(self):
-        return _Generator(self.values)
+        return _Generator(self.words)
+
+
+class _WordStream(_Stream):
+    """A ``_Stream`` of the raw ``words`` given, the 11 low bits that the
+    uniforms drop included."""
+
+    def __init__(self, words):
+        self.words = np.asarray(words, dtype=np.uint64)
 
 
 class _Generator:
-    """Holds the values as Philox words and serves them as Philox does:
-    ``random_raw`` gives the words, ``random`` (word >> 11) * 2^-53."""
+    """Serves the words as Philox does: ``random_raw`` gives the words,
+    ``random`` (word >> 11) * 2^-53."""
 
-    def __init__(self, values):
-        self.words = np.round(np.asarray(values) * 2.0**53).astype(np.uint64) << 11
+    def __init__(self, words):
+        self.words = words
         self.position, self.bit_generator = 0, self
 
     def advance(self, blocks):  # as Philox counts: four draws a block
@@ -291,7 +304,7 @@ class _RawStream(_Stream):
     """A ``_Stream`` whose generators serve only raw words."""
 
     def generator(self):
-        return _RawGenerator(self.values)
+        return _RawGenerator(self.words)
 
 
 class _RawGenerator(_Generator):
@@ -323,8 +336,7 @@ class TestTopSample:
         want = whole_sample(spec, 21, _Stream(smallest))
         assert_same_rows(sample_censored(spec, 21, _Stream(values)), want)
         for m in (1, 4, 21):
-            assert_same_rows(_top_sample(spec, 21, m, _Stream(values)),
-                             top_order_statistics(want, m))
+            assert_same_rows(_top_sample(spec, 21, m, _Stream(values)), sorted_top(want, m))
 
     @pytest.mark.parametrize("n", [5, 21])
     @pytest.mark.parametrize("spec", TOP_MODELS[::3], ids=["censored", "complete", "ties"])
@@ -337,15 +349,12 @@ class TestTopSample:
         want = whole_sample(spec, n, _Stream(values))
         assert_same_rows(sample_censored(spec, n, _RawStream(values)), want)
         for m in (1, 4, n):
-            assert_same_rows(_top_sample(spec, n, m, _RawStream(values)),
-                             top_order_statistics(want, m))
+            assert_same_rows(_top_sample(spec, n, m, _RawStream(values)), sorted_top(want, m))
 
     def test_uniforms_count_a_zero_draw_as_the_smallest_draw(self):
-        words = [0, 2047, 2048, 4096]
+        words = np.array([0, 2047, 2048, 4096], dtype=np.uint64)
         want = [2.0**-53, 2.0**-53, 2.0**-53, 2.0**-52]
-        assert models._uniforms(np.array(words, dtype=np.uint64)).tolist() == want
-        assert [models._uniforms(word) for word in words] == want
-        assert type(models._uniforms(0)) is float
+        assert models._uniforms(words).tolist() == want
 
     def test_a_failing_guard_transforms_every_block(self, monkeypatch):
         # gamma 3e-16 maps neighbouring uniforms to one value: the top m + 1
@@ -390,8 +399,8 @@ class TestTopSample:
             assert word == 0
         else:
             assert word % 2048 == 0 and 0 < word < 2**64
-            assert models._uniforms(np.uint64(word)) >= cut
-            assert models._uniforms(np.uint64(word - 1)) < cut
+            at, below = models._uniforms(np.array([word, word - 1], dtype=np.uint64))
+            assert at >= cut > below
 
     def test_a_cut_that_rounds_to_one_passes_no_word(self, monkeypatch):
         # n = 2^62, m = 1: 1 - 16 / 2^62 rounds to 1.0, and ceil(2^53) << 11 is 2^64
@@ -428,3 +437,59 @@ class TestTopSample:
                 sample_censored(spec, 21, _Stream(values))
             with pytest.raises(NonPositiveObservation):
                 _top_sample(spec, 21, 5, _Stream(values))
+
+
+def _word(u, low=0):
+    """The raw word of the draw nearest u, with ``low`` in the 11 low bits
+    that its uniform drops."""
+    return (round(u * 2**53) << 11) | low
+
+
+class TestSortedTop:
+    """Complete-data tops picked from the raw words at and above the cut,
+    against the sorted top of the whole sample, counting the replications
+    that transform every block instead."""
+
+    M, N = 10, 1000  # the cut word is that of the uniform 1 - 88/1000 = 0.912
+
+    def top(self, monkeypatch, words, block):
+        transformed = []
+        whole = models._transformed_top
+        monkeypatch.setattr(models, "_transformed_top",
+                            lambda *args: transformed.append(args) or whole(*args))
+        monkeypatch.setattr(models, "_BLOCK_ROWS", block)
+        spec, n = ModelSpec(loss=Pareto(1.0)), len(words)
+        got = _top_sample(spec, n, self.M, _WordStream(words))
+        assert_same_rows(got, whole_top(spec, n, self.M, _WordStream(words)))
+        return got, len(transformed)
+
+    @pytest.mark.parametrize("block", [64, 1 << 16], ids=["blocks", "one-block"])
+    @pytest.mark.parametrize("tail, size, fallbacks", [
+        ([(0.93, 0), (0.93, 0)], 11, 1),
+        ([(0.93, 0), (0.93, 5)], 11, 1),
+        ([(0.93, 0), (0.92, 0), (0.92, 0)], 10, 0),
+        ([(0.93, 0), (0.92, 5), (0.92, 0)], 10, 0),
+    ], ids=["tie-at-the-cut", "tied-uniforms-at-the-cut", "tie-below", "tied-uniforms-below"])
+    def test_ties_around_the_m_th_uniform(self, monkeypatch, block, tail, size, fallbacks):
+        """The top m - 1 uniforms are distinct, then come ``tail``'s (uniform,
+        low bits) pairs, all spread over the stream (so over several blocks
+        of 64).  A tie of the m-th and (m + 1)-th uniforms, by equal words or
+        by words that differ only in their low bits, takes the tie block
+        along and transforms every block; a tie of the (m + 1)-th and
+        (m + 2)-th decides nothing and keeps the raw-word path."""
+        words = RngStream(9, 1).generator().bit_generator.random_raw(self.N) >> 1
+        top = [_word(0.99 - 0.005 * i) for i in range(self.M - 1)]
+        top += [_word(u, low) for u, low in tail]
+        words[np.linspace(0, self.N - 1, len(top)).astype(int)] = top
+        got, count = self.top(monkeypatch, words, block)
+        assert (got.z.size, count) == (size, fallbacks)
+
+    @pytest.mark.parametrize("n", [8, 10, 11, 50, 88])
+    def test_a_cut_word_of_zero_passes_every_word(self, monkeypatch, n):
+        """With n <= 8(m + 1) every word passes; with n <= m the top is the
+        whole sample, its zero word counted as 2^-53."""
+        assert models._cut_word(self.M, n) == 0
+        words = RngStream(9, 2).generator().bit_generator.random_raw(n)
+        words[[0, n - 1]] = [0, 1 << 63]
+        got, count = self.top(monkeypatch, words, 7)
+        assert (got.z.size, count) == (min(n, self.M), 0)

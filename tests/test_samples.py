@@ -143,7 +143,7 @@ class TestTopOrderStatistics:
         if sorted_:
             sample = sort_with_concomitants(sample)
         for m in (True, False):
-            with pytest.raises(ValueError, match=f"m must be at least 1, got {m}"):
+            with pytest.raises(TypeError, match=f"m must be an integer, got {m}"):
                 top_order_statistics(sample, m)
 
 
@@ -525,7 +525,7 @@ class TestReadCsvTop:
         path = tmp_path / "s.csv"
         path.write_text("1.5,1\n2.0,0\n")
         for source in (path, io.StringIO("1.5,1\n2.0,0\n")):
-            with pytest.raises(ValueError, match=f"top must be at least 1, got {top}"):
+            with pytest.raises(TypeError, match=f"top must be an integer, got {top}"):
                 read_csv(source, top=top)
 
 class TestWriteCsv:

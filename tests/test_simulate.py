@@ -20,9 +20,13 @@ from censtail import (
     run_simulation,
     sample_censored,
     sort_with_concomitants,
+    top_order_statistics,
 )
+from censtail import models
 from censtail.errors import ConfigError, SimulationError, TooFewPoints
-from censtail.simulate import _collect_paths
+from censtail.estimators import _tail_path
+from censtail.simulate import _collect_paths, _replicate_paths
+from reference_impl import whole_sample
 
 CENSORED_MODEL = ModelSpec(loss=Burr(0.4, 0.25), censor=Frechet(3.6))
 
@@ -272,8 +276,8 @@ class TestRunSimulation:
     @pytest.mark.parametrize("kernels", [("biweight", "triweight"), (CUSTOM_BIWEIGHT,)],
                              ids=["builtin", "custom"])
     def test_replicates_equal_sorted_sample_paths(self, kernels):
-        """The simulator runs the engine on the unsorted sample; every
-        replication equals the documented sort-then-estimate pipeline."""
+        """The simulator runs the engine on each replication's sorted top;
+        every replication equals the documented sort-then-estimate pipeline."""
         model = ModelSpec(loss=Burr(0.4, 0.25), censor=Frechet(0.8))
         config = small_config(model=model, replications=15, k_values=(1, 3, 20, 60, 119),
                               estimators=("hill", "p_hat", "efg", "worms", "mns"),
@@ -289,6 +293,26 @@ class TestRunSimulation:
             for name, per_k in zip(names, paths[r - 1]):
                 got = tuple(None if math.isnan(v) else v for v in per_k.tolist())
                 assert got == path.column(name), (r, name)
+
+    @pytest.mark.parametrize("block", [1000, 1 << 16], ids=["blocks", "one-block"])
+    @pytest.mark.parametrize("model", [CENSORED_MODEL, ModelSpec(loss=Pareto(1.0))],
+                             ids=["censored", "complete"])
+    def test_replicates_equal_the_engine_on_the_whole_sorted_top(self, monkeypatch, model,
+                                                                 block):
+        """Replication by replication, the simulator's estimates are the
+        engine's on the sorted top of the whole-n reference sample, bit for
+        bit; at n = 3000 and k_max = 52 complete data takes the raw-word
+        path above its cut."""
+        monkeypatch.setattr(models, "_BLOCK_ROWS", block)
+        config = small_config(model=model, n=3000, replications=8, k_values=(1, 10, 52),
+                              estimators=("hill", "p_hat", "efg", "worms", "mns"))
+        kerns = config._kernel_objects()
+        want = [_tail_path(sort_with_concomitants(top_order_statistics(
+                    whole_sample(model, config.n, RngStream(config.master_seed, r)), 53)),
+                    config.k_values, config.estimators, kerns)
+                for r in range(1, config.replications + 1)]
+        got = _replicate_paths(config, 1, config.replications + 1)
+        assert got.tobytes() == np.stack(want).tobytes()
 
     def test_never_sorts_more_than_the_top_view(self, monkeypatch):
         lengths = []
