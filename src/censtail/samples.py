@@ -1,19 +1,33 @@
 """Censored-sample containers, ordering with concomitants, selection of
 the top order statistics, ``value,delta`` CSV input, and the CSV text of
-result tables."""
+result tables.
+
+A CSV path is parsed by ``numpy.loadtxt`` in blocks; a large file is cut
+at line ends into parts parsed at the same time, one forked process each,
+and their largest rows are merged in file order.  Whatever that pass does
+not accept is read by a row scanner, which alone reports errors."""
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
+import logging
+import math
+import multiprocessing
 import os
+import threading
+import time
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import EmptySample, InvalidIndicator, NonPositiveObservation, ParseError
+
+_log = logging.getLogger("censtail")
 
 
 def _freeze(arr):
@@ -244,13 +258,19 @@ def read_csv(source, *, header=None, top=None):
     by a row scanner (``csv.reader`` and ``float`` on each row).  Both accept
     the same inputs and give bit-identical values: whatever the vectorised
     pass does not accept outright is read again by the scanner, so errors
-    and their line numbers always come from the scanner.
+    and their line numbers always come from the scanner.  A file of at
+    least twice ``_PART_BYTES`` is cut at line ends into parts that are
+    parsed at the same time, one process each (:func:`_read_path_fast`).
 
     With ``top``, only ``top_order_statistics(sample, top)`` is kept.  A
     path is then never held whole: each block is merged into the largest
-    rows so far as it is read, so the memory it takes is about ``top``
-    rows plus a block, however long the file.  Every row is still parsed
-    and checked.
+    rows so far as it is read, so each part takes about 2 ``top`` rows plus
+    a block, however long the file.  Every row is still parsed and checked.
+
+    Each call logs one debug event to the ``censtail`` logger: the path
+    taken (``fast`` or ``scanner``), why the scanner read a file, and the
+    parts, rows, bytes and seconds.  The record's ``read_csv`` attribute
+    holds them as a dict.
 
     Parameters
     ----------
@@ -284,18 +304,39 @@ def read_csv(source, *, header=None, top=None):
     """
     if top is not None and _integer(top, "top", TypeError) < 1:
         raise ValueError(f"top must be at least 1, got {top}")
-    if isinstance(source, (str, os.PathLike)):
-        read = _read_path_fast(source, header, top)
-        if read is not None:
-            return read
-    sample = _scan_csv(source, header)
-    return sample if top is None else TopRows(sample.n, top_order_statistics(sample, top))
+    began = time.perf_counter()
+    notes = {"path": "fast", "reason": None, "parts": 1, "rows": None, "bytes": None}
+    try:
+        read = None
+        if isinstance(source, (str, os.PathLike)):
+            read = _read_path_fast(source, header, top, notes)
+        else:
+            notes["reason"] = "a text stream"
+        if read is None:
+            notes["path"] = "scanner"
+            sample = _scan_csv(source, header)
+            read = sample if top is None else TopRows(sample.n, top_order_statistics(sample, top))
+        notes["rows"] = read.n
+        return read
+    finally:
+        notes["seconds"] = time.perf_counter() - began
+        _log.debug("read_csv: path=%(path)s reason=%(reason)s parts=%(parts)s rows=%(rows)s "
+                   "bytes=%(bytes)s seconds=%(seconds).6f", notes, extra={"read_csv": notes})
 
 
 _BLOCK_ROWS = 1 << 16
+# Starting and joining a process pool takes 7-15 ms on a 2-core Xeon VM, as
+# long as loadtxt takes for about 1 MB of CSV: a part is worth a process
+# from about twice that.
+_PART_BYTES = 1 << 21
 
 
-def _read_path_fast(path, header, top=None):
+class _Refused(Exception):
+    """A file the vectorised pass leaves to the row scanner; the text says
+    why."""
+
+
+def _read_path_fast(path, header, top=None, notes=None):
     """What :func:`read_csv` returns for the CSV file at ``path``, parsed
     by ``numpy.loadtxt``, or None where the row scanner must read the file.
 
@@ -308,55 +349,185 @@ def _read_path_fast(path, header, top=None):
     the value ``float`` gives, and refuses quotes, underscores and
     non-ASCII digits, which ``float`` or csv.reader read differently.
 
-    loadtxt reads ``_BLOCK_ROWS`` rows at a time from the open file and the
-    next call goes on where it stopped, so no n-row table is ever made.
-    With ``top``, each block is merged into a :class:`_RunningTop` as it
-    comes, which keeps about twice ``top`` rows.
+    The file is cut just past a ``\\n`` into min(usable CPUs, bytes //
+    ``_PART_BYTES``) parts, or one where :func:`_part_count` finds a fork
+    unsafe or unable to start.  This process parses the first
+    part and one forked worker each other part, all at the same time, by
+    :func:`_parse_part`; any part refused sends the whole file to the
+    scanner.  The parts' kept rows go into one :class:`_RunningTop` in file
+    order: the top of a union is the top of the parts' tops, so the rows,
+    their order and the row count do not depend on the cuts.  A pool that
+    cannot start or breaks leaves the file to one part in this process.
+    Every worker is joined before this returns.
+
+    ``notes``, a dict, gets the parts, the file's bytes and, where the
+    scanner must read the file, the reason.
     """
+    notes = {} if notes is None else notes
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             line = fh.readline().rstrip("\r\n")
+            size = os.fstat(fh.fileno()).st_size
         if not line or '"' in line or "\x00" in line:
-            return None
+            raise _Refused("line 1 is blank or holds a quote or a NUL")
         skip = int(_is_header(line.split(","), header))
+        ranges = _byte_ranges(path, size, _part_count(size))
+        notes.update(parts=len(ranges), bytes=size)
+        parts = _parse_parts(path, ranges, skip, top, notes)
+        n = sum(count for count, _ in parts)
+        if n == 0:
+            raise _Refused("no data rows")  # the scanner's EmptySample
         kept = _RunningTop(top)
-        with open(path, "r", encoding="utf-8-sig") as fh, warnings.catch_warnings():
+        for _, rows in parts:
+            if rows is not None:
+                kept.add(*rows)
+        sample = _unchecked(CensoredSample, *kept.rows())
+        return sample if top is None else TopRows(n, sample)
+    except Exception as exc:  # any failure leaves the verdict, and the error, to the scanner
+        notes["reason"] = _reason(exc)
+        return None
+
+
+def _reason(exc):
+    """Why the vectorised pass gave up, from what it raised."""
+    return str(exc) if isinstance(exc, _Refused) else f"{type(exc).__name__}: {exc}"
+
+
+def _usable_cpus():
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else the host's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _part_count(size):
+    """How many parts a file of ``size`` bytes is parsed in: one per
+    ``_PART_BYTES``, at most one per usable CPU, and one unless processes
+    start by ``fork`` (a spawned interpreter costs more than it saves),
+    this process runs one thread (a fork copies no other thread, nor can
+    it release a lock one holds) and it may have children."""
+    parts = min(_usable_cpus(), size // _PART_BYTES)
+    method = multiprocessing.get_start_method(allow_none=True)
+    if method is None:
+        method = multiprocessing.get_all_start_methods()[0]  # the platform's default
+    if (parts < 2 or method != "fork" or threading.active_count() > 1
+            or multiprocessing.current_process().daemon):
+        return 1
+    return parts
+
+
+def _byte_ranges(path, size, parts):
+    """At most ``parts`` byte ranges ``(start, stop)`` that cover a file of
+    ``size`` bytes, the last one's stop None (the file's end).  Each range
+    but the last ends just past the first ``\\n`` at or after an even share
+    of the bytes; a file with no ``\\n`` past a share, such as one with lone
+    ``\\r`` line ends, gives fewer."""
+    starts = [0]
+    with open(path, "rb") as fh:
+        for i in range(1, parts):
+            cut = _line_start_after(fh, max(size * i // parts, starts[-1]))
+            if cut is None or cut >= size:
+                break
+            starts.append(cut)
+    return list(zip(starts, [*starts[1:], None]))
+
+
+def _line_start_after(fh, at):
+    """The offset just past the first ``\\n`` at or after byte ``at`` of
+    the binary file ``fh``, or None if there is none."""
+    fh.seek(at)
+    while block := fh.read(1 << 16):
+        if (end := block.find(b"\n")) >= 0:
+            return at + end + 1
+        at += len(block)
+    return None
+
+
+def _parse_parts(path, ranges, skip, top, notes):
+    """:func:`_parse_part` of each byte range in file order: the first in
+    this process, the others in forked workers at the same time.  If the
+    pool cannot start or breaks, the whole file is parsed here as one
+    part, and ``notes`` says so."""
+    if len(ranges) > 1:
+        try:
+            with ProcessPoolExecutor(len(ranges) - 1,
+                                     mp_context=multiprocessing.get_context("fork")) as pool:
+                rest = [pool.submit(_parse_part, path, start, stop, 0, top)
+                        for start, stop in ranges[1:]]
+                first = _parse_part(path, *ranges[0], skip, top)
+                return [first, *(part.result() for part in rest)]
+        except (OSError, RuntimeError) as exc:  # BrokenProcessPool is a RuntimeError
+            notes.update(parts=1, reason=f"process pool failed, one part: {_reason(exc)}")
+    return [_parse_part(path, 0, None, skip, top)]
+
+
+def _parse_part(path, start, stop, skip, top):
+    """The row count of the lines from byte ``start`` of the file at
+    ``path`` to byte ``stop`` (None: its end), and their rows that
+    ``_RunningTop(top)`` keeps, as ``(z, delta)`` in file order (None for
+    no rows).  ``start`` is a line start and ``stop`` just past a line
+    end; the first ``skip`` lines are not rows.
+
+    The lines are parsed by ``loadtxt`` in blocks of ``_BLOCK_ROWS`` rows,
+    and each block is checked as :class:`CensoredSample` checks a sample;
+    loadtxt goes on where the previous call stopped, so no table of the
+    whole part is made.  A U+FEFF is skipped only at the file's start, as
+    the scanner skips it.  Whatever the part does not accept is a
+    :class:`_Refused`.
+    """
+    try:
+        lines, longest = _line_ends(path, start, stop)
+        if longest > csv.field_size_limit():
+            raise _Refused(f"a line of {longest} bytes is past csv.field_size_limit()")
+        kept = _RunningTop(top)
+        with open(path, "rb") as raw, warnings.catch_warnings():
             # past the last row loadtxt warns and reads nothing
             warnings.simplefilter("ignore", UserWarning)
-            while (table := np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
+            raw.seek(start)
+            text = io.TextIOWrapper(raw, encoding="utf-8" if start else "utf-8-sig")
+            rows = text if stop is None else itertools.islice(text, lines)
+            while (table := np.loadtxt(rows, delimiter=",", comments=None, ndmin=2,
                                        skiprows=skip, max_rows=_BLOCK_ROWS)).size:
                 skip = 0
                 if table.shape[1] != 2:
-                    return None
+                    raise _Refused(f"a row holds {table.shape[1]} fields")
                 z, delta = table[:, 0], table[:, 1]
                 # the checks of CensoredSample, and delta before the cast, which would truncate
                 if not (np.isfinite(z).all() and (z > 0).all()
                         and ((delta == 0) | (delta == 1)).all()):
-                    return None
+                    raise _Refused("a row fails the checks of CensoredSample")
                 kept.add(z, delta.astype(np.int8))
-        if kept.n == 0 or _longest_line(path) > csv.field_size_limit():
-            return None  # no data rows is the scanner's EmptySample
-        sample = _unchecked(CensoredSample, *kept.rows())
-        return sample if top is None else TopRows(kept.n, sample)
-    except Exception:  # any failure leaves the verdict, and the error, to the scanner
-        return None
+        return kept.n, kept.rows() if kept.n else None
+    except Exception as exc:
+        raise _Refused(_reason(exc)) from None
 
 
-def _longest_line(path, chunk=1 << 20):
-    """The most bytes any line of a file holds between its line ends: a
-    bound on its longest csv field, which csv.reader refuses past
-    ``csv.field_size_limit()``."""
-    longest, run = 0, 1  # run: bytes since the last line end, plus one
+def _line_ends(path, start=0, stop=None, chunk=1 << 20):
+    """The lines from byte ``start`` of a file to byte ``stop`` (None: its
+    end), as ``\\n``, ``\\r\\n`` and a lone ``\\r`` end them, and the most
+    bytes any of them holds between its line ends: a bound on its longest
+    csv field, which csv.reader refuses past ``csv.field_size_limit()``."""
+    ends = longest = 0
+    run, after_cr = 1, False  # run: bytes since the last line end, plus one
     with open(path, "rb") as fh:
-        while block := fh.read(chunk):
+        fh.seek(start)
+        left = math.inf if stop is None else stop - start
+        while left > 0 and (block := fh.read(min(chunk, left))):
+            left -= len(block)
             octets = np.frombuffer(block, np.uint8)
-            ends = np.flatnonzero((octets == 10) | (octets == 13))  # \n or \r
-            if ends.size == 0:
+            has_cr = b"\r" in block
+            at = np.flatnonzero((octets == 10) | (octets == 13) if has_cr else octets == 10)
+            # a \r\n is one line end, also across two blocks
+            ends += (at.size - (block.count(b"\r\n") if has_cr else 0)
+                     - (after_cr and block[0] == 10))
+            after_cr = block[-1] == 13
+            if at.size == 0:
                 run += len(block)
                 continue
-            longest = max(longest, run + ends[0], np.diff(ends).max(initial=0))
-            run = len(block) - ends[-1]
-    return int(max(longest, run)) - 1
+            longest = max(longest, run + at[0], np.diff(at).max(initial=0))
+            run = len(block) - at[-1]
+    return ends + (run > 1), int(max(longest, run)) - 1
 
 
 def _scan_csv(source, header):

@@ -8,7 +8,6 @@ only on the configuration and never on scheduling or worker count.
 from __future__ import annotations
 
 import math
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -25,7 +24,7 @@ from .kernels import (
     builtin_kernel,
 )
 from .models import Burr, Frechet, ModelSpec, Pareto, RngStream, _top_sample
-from .samples import Table, _integer
+from .samples import Table, _integer, _usable_cpus
 
 CONFIG_SCHEMA = "censtail-sim-config/1"
 RESULT_SCHEMA = "censtail-sim-result/1"
@@ -310,7 +309,7 @@ def _collect_paths(config):
     """Every replication's estimates, stacked as (replication, column, k)
     with NaN for undefined cells, in replication order for any worker count."""
     total = config.replications
-    workers = min(config.workers, total, os.cpu_count() or 1)
+    workers = min(config.workers, total, _usable_cpus())
     try:
         if workers <= 1:
             return _replicate_paths(config, 1, total + 1)

@@ -1,5 +1,6 @@
 import csv
 import io
+import logging
 import warnings
 
 import numpy as np
@@ -277,11 +278,11 @@ def _outcome(read):
         return type(exc), getattr(exc, "row", None), str(exc)
 
 
-def _scan(path, header):
+def _scan(path, header, top=None):
     """The row scanner's reading of a file: a text stream never takes the
     vectorised pass."""
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        return read_csv(fh, header=header)
+        return read_csv(fh, header=header, top=top)
 
 
 def _assert_same_as_scanner(path, header):
@@ -372,11 +373,18 @@ class TestReadCsvPath:
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 1 << 20])
     def test_longest_line_across_read_blocks(self, tmp_path, chunk):
+        """_line_ends gives the lines universal newlines read and the longest
+        of them, over the whole file and over each range cut past a \\n."""
         path = tmp_path / "lines.csv"
-        for text in ("", "abc", "a\nbcd\r\nef", "\r\r\n", "ab\rcdefgh\n", "abcdefgh\r"):
+        for text in ("", "abc", "a\nbcd\r\nef", "\r\r\n", "ab\rcdefgh\n", "abcdefgh\r",
+                     "a\r\nb\r\n\ncd\r\r\n\refg\n"):
             path.write_bytes(text.encode())
-            want = max(len(line) for line in text.replace("\r", "\n").split("\n"))
-            assert samples._longest_line(path, chunk) == want
+            cuts = [i + 1 for i, c in enumerate(text) if c == "\n"]
+            for start, stop in [(0, None)] + [(0, c) for c in cuts] + [(c, None) for c in cuts]:
+                part = text[start:stop]
+                lines = io.TextIOWrapper(io.BytesIO(part.encode())).readlines()
+                want = max(len(line) for line in part.replace("\r", "\n").split("\n"))
+                assert samples._line_ends(path, start, stop, chunk) == (len(lines), want)
 
     def test_header_only_file_raises_without_a_warning(self, tmp_path):
         path = tmp_path / "header.csv"
@@ -527,6 +535,277 @@ class TestReadCsvTop:
         for source in (path, io.StringIO("1.5,1\n2.0,0\n")):
             with pytest.raises(TypeError, match=f"top must be an integer, got {top}"):
                 read_csv(source, top=top)
+
+
+def _parted(monkeypatch, path, parts):
+    """Let ``path`` split into up to ``parts`` parts: one per usable CPU,
+    and parts of a ``parts``-th of the file."""
+    monkeypatch.setattr(samples, "_usable_cpus", lambda: parts)
+    monkeypatch.setattr(samples, "_PART_BYTES", max(1, path.stat().st_size // parts))
+
+
+def _scanned(data, header=None, top=None):
+    """The row scanner's reading of the bytes ``data``, by way of a text
+    stream."""
+    return _outcome(lambda: read_csv(io.StringIO(data.decode("utf-8-sig"), newline=""),
+                                     header=header, top=top))
+
+
+def _assert_same_read(got, want):
+    """Two read_csv outcomes hold the same n, z and delta, bit for bit, or
+    the same error class, row and text."""
+    assert type(got) is type(want)
+    if isinstance(want, samples.TopRows):
+        assert got.n == want.n
+        got, want = got.sample, want.sample
+    elif isinstance(want, tuple):
+        assert got == want
+        return
+    assert got.z.tobytes() == want.z.tobytes()
+    assert got.delta.tobytes() == want.delta.tobytes()
+
+
+def _rows_text(rng, rows, distinct=None, blank=0, end="\n"):
+    z = (rng.integers(1, distinct + 1, rows) / 4.0 if distinct
+         else np.round(rng.pareto(1.0, rows) + 1.0, 6))
+    delta = rng.integers(0, 2, rows)
+    return "".join(f"{v!r},{d}{end}" + end * blank for v, d in zip(z.tolist(), delta.tolist()))
+
+
+class TestReadCsvParts:
+    """A file cut into parts parsed at the same time reads as the row scanner
+    reads it; ``_PART_BYTES`` is shrunk so that small files split."""
+
+    @pytest.mark.parametrize("parts", [2, 3, 4])
+    @pytest.mark.parametrize("name, header, end, bom", [
+        ("header present", True, "\n", ""),
+        ("header absent", False, "\n", ""),
+        ("header sniffed", None, "\n", ""),
+        ("no header, sniffed", None, "\n", ""),
+        ("crlf", None, "\r\n", ""),
+        ("bom", None, "\n", "\ufeff"),
+        ("bom, crlf, no header", None, "\r\n", "\ufeff"),
+    ])
+    def test_split_file_reads_as_the_scanner_reads_it(self, tmp_path, rng, monkeypatch,
+                                                      parts, name, header, end, bom):
+        text = _rows_text(rng, 80, end=end)
+        if "no header" not in name and header is not False:
+            text = "value,delta" + end + text
+        data = (bom + text).encode()
+        path = tmp_path / "parts.csv"
+        path.write_bytes(data)
+        _parted(monkeypatch, path, parts)
+        for top in (None, 1, 7, 40, 80, 81, 1000):
+            notes = {}
+            got = samples._read_path_fast(path, header, top, notes)
+            assert notes["parts"] == parts
+            _assert_same_read(got, _scanned(data, header, top))
+            _assert_same_read(_outcome(lambda: read_csv(path, header=header, top=top)), got)
+
+    def test_lone_cr_line_ends_stay_in_one_part(self, tmp_path, rng, monkeypatch):
+        data = ("value,delta\r" + _rows_text(rng, 60, end="\r")).encode()
+        path = tmp_path / "cr.csv"
+        path.write_bytes(data)
+        _parted(monkeypatch, path, 2)
+        notes = {}
+        got = samples._read_path_fast(path, None, 5, notes)
+        assert notes["parts"] == 1
+        _assert_same_read(got, _scanned(data, None, 5))
+
+    @pytest.mark.parametrize("parts", [2, 3, 4])
+    def test_mixed_line_ends_and_blank_lines_at_the_cuts(self, tmp_path, rng, monkeypatch,
+                                                          parts):
+        """Two blank lines follow each row, so cuts land on blank lines; lone
+        \\r line ends inside a part are counted as lines."""
+        mixed = "5,1\r6,0\r\r\n7,1\r\n"
+        text = "value,delta\n" + mixed.join(_rows_text(rng, 10, blank=2) for _ in range(4))
+        data = text.encode()
+        path = tmp_path / "blank.csv"
+        path.write_bytes(data)
+        _parted(monkeypatch, path, parts)
+        ranges = samples._byte_ranges(path, len(data), parts)
+        assert len(ranges) == parts
+        assert any(data[start:start + 1] == b"\n" for start, _ in ranges[1:])
+        assert any(b"1\r6,0\r\r\n" in data[start:stop] for start, stop in ranges[:-1])
+        for top in (None, 3, 31):
+            notes = {}
+            _assert_same_read(samples._read_path_fast(path, None, top, notes),
+                              _scanned(data, None, top))
+            assert notes["parts"] == parts
+
+    @pytest.mark.parametrize("parts", [2, 3, 4])
+    def test_tie_blocks_across_the_cuts_keep_the_whole_files_top(self, tmp_path, rng,
+                                                                 monkeypatch, parts):
+        # three distinct values, so tie blocks of mixed indicators span every cut
+        data = ("value,delta\n" + _rows_text(rng, 90, distinct=3)).encode()
+        path = tmp_path / "ties.csv"
+        path.write_bytes(data)
+        _parted(monkeypatch, path, parts)
+        monkeypatch.setattr(samples, "_BLOCK_ROWS", 4)
+        for top in (None, 1, 2, 5, 17, 30, 45, 89, 90, 91, 1000):
+            got = _outcome(lambda: read_csv(path, top=top))
+            _assert_same_read(got, _scanned(data, None, top))
+
+    @pytest.mark.parametrize("bad, error, row", [
+        (b"abc,0\n", ParseError, 2002),
+        (b"1.5,2\n", InvalidIndicator, 2002),
+        (b"-1,1\n", NonPositiveObservation, 2002),
+        (b"1.5,\xe9\n", ParseError, None),
+        (b"1." + b"0" * 200_000 + b",1\n", ParseError, 2002),
+        (b"\xef\xbb\xbf1.5,1\n", ParseError, 2002),
+    ], ids=["malformed", "indicator", "negative", "not utf-8", "over-long", "inner bom"])
+    @pytest.mark.parametrize("bad_row_starts_the_part", [False, True])
+    def test_an_error_in_the_last_part_is_the_scanners(self, tmp_path, rng, monkeypatch,
+                                                       bad, error, row,
+                                                       bad_row_starts_the_part):
+        # past the first line's read-ahead, and past the first part's
+        head = ("value,delta\n" + _rows_text(rng, 2000)).encode()
+        data = head + bad + b"2.5,1\n"
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data)
+        cut = len(head) if bad_row_starts_the_part else head.index(b"\n", len(head) // 2) + 1
+        monkeypatch.setattr(samples, "_part_count", lambda size: 2)
+        monkeypatch.setattr(samples, "_byte_ranges",
+                            lambda path, size, parts: [(0, cut), (cut, None)])
+        notes = {}
+        assert samples._read_path_fast(path, None, 3, notes) is None
+        assert notes["parts"] == 2
+        got = _outcome(lambda: read_csv(path, top=3))
+        assert got[:2] == (error, row)
+        assert got == _outcome(lambda: _scan(path, None, top=3))
+
+    @pytest.mark.parametrize("failure", ["start", "submit", "result"])
+    def test_a_pool_that_fails_gives_the_one_part_read(self, tmp_path, rng, monkeypatch,
+                                                       failure):
+        from concurrent.futures.process import BrokenProcessPool
+
+        class FailingPool:
+            def __init__(self, *args, **kwargs):
+                if failure == "start":
+                    raise OSError("no processes")
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                if failure == "submit":
+                    raise BrokenProcessPool("a worker died")
+                return self
+
+            def result(self):
+                raise BrokenProcessPool("a worker died")
+
+        data = ("value,delta\n" + _rows_text(rng, 60)).encode()
+        path = tmp_path / "pool.csv"
+        path.write_bytes(data)
+        _parted(monkeypatch, path, 2)
+        serial = {top: samples._read_path_fast(path, None, top) for top in (None, 4)}
+        monkeypatch.setattr(samples, "ProcessPoolExecutor", FailingPool)
+        for top in (None, 4):
+            notes = {}
+            got = samples._read_path_fast(path, None, top, notes)
+            assert notes["parts"] == 1 and "process pool failed" in notes["reason"]
+            _assert_same_read(got, serial[top])
+            _assert_same_read(got, _scanned(data, None, top))
+
+    def test_no_worker_outlives_a_read(self, tmp_path, rng, monkeypatch):
+        import multiprocessing
+
+        path = tmp_path / "good.csv"
+        text = "value,delta\n" + _rows_text(rng, 60)
+        path.write_text(text)
+        _parted(monkeypatch, path, 2)
+        assert read_csv(path, top=3).n == 60
+        assert multiprocessing.active_children() == []
+        path.write_text(text + "abc,1\n")
+        with pytest.raises(ParseError, match="row 62"):
+            read_csv(path, top=3)
+        assert multiprocessing.active_children() == []
+
+    def test_one_part_without_fork_with_threads_or_in_a_daemon(self, monkeypatch):
+        import multiprocessing
+
+        monkeypatch.setattr(samples, "_usable_cpus", lambda: 4)
+        size = 4 * samples._PART_BYTES
+        assert samples._part_count(size) == (
+            4 if multiprocessing.get_all_start_methods()[0] == "fork" else 1)
+        assert samples._part_count(size - 3 * samples._PART_BYTES) == 1
+        with monkeypatch.context() as mp:
+            mp.setattr(multiprocessing, "get_start_method", lambda allow_none=False: "spawn")
+            assert samples._part_count(size) == 1
+
+        with monkeypatch.context() as mp:
+            mp.setattr(samples.threading, "active_count", lambda: 2)
+            assert samples._part_count(size) == 1
+
+        class Daemon:
+            daemon = True
+
+        monkeypatch.setattr(multiprocessing, "current_process", lambda: Daemon())
+        assert samples._part_count(size) == 1
+
+    def test_usable_cpus_count_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(samples.os, "sched_getaffinity", lambda pid: {0, 3, 5},
+                            raising=False)
+        monkeypatch.setattr(samples.os, "cpu_count", lambda: 64)
+        assert samples._usable_cpus() == 3
+        monkeypatch.delattr(samples.os, "sched_getaffinity")
+        assert samples._usable_cpus() == 64
+        monkeypatch.setattr(samples.os, "cpu_count", lambda: None)
+        assert samples._usable_cpus() == 1
+
+    def test_each_read_logs_one_debug_event(self, tmp_path, rng, monkeypatch, caplog, capsys):
+        path = tmp_path / "log.csv"
+        path.write_text("value,delta\n" + _rows_text(rng, 60))
+        _parted(monkeypatch, path, 2)
+        caplog.set_level(logging.DEBUG, logger="censtail")
+        quoted = tmp_path / "quoted.csv"
+        quoted.write_text('"value","delta"\n1.5,1\n')
+        read_csv(path, top=3)
+        read_csv(quoted)
+        read_csv(io.StringIO("1.5,1\n"))
+        with pytest.raises(ParseError):
+            read_csv(io.StringIO("abc,1\n"))
+        events = [record.read_csv for record in caplog.records]
+        assert [record.name for record in caplog.records] == ["censtail"] * 4
+        assert [record.levelno for record in caplog.records] == [logging.DEBUG] * 4
+        fast, quote, stream, error = events
+        assert fast["path"] == "fast" and fast["reason"] is None
+        assert (fast["parts"], fast["rows"], fast["bytes"]) == (2, 60, path.stat().st_size)
+        assert quote["path"] == "scanner" and "quote" in quote["reason"]
+        assert (quote["parts"], quote["rows"]) == (1, 1)
+        assert stream["path"] == "scanner" and stream["reason"] == "a text stream"
+        assert stream["bytes"] is None and stream["rows"] == 1
+        assert error["rows"] is None
+        assert all(event["seconds"] >= 0 for event in events)
+        assert "path=fast" in caplog.records[0].getMessage()
+        assert capsys.readouterr() == ("", "")
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_csv_texts(), st.sampled_from([None, True, False]), st.integers(2, 4),
+       st.sampled_from([None, 1, 2, 7]))
+def test_split_read_matches_row_scanner(tmp_path, text, header, parts, top):
+    """read_csv on a path cut into up to four parts gives the row scanner's
+    rows and their top, or its error and row."""
+    path = tmp_path / "sample.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.MonkeyPatch.context() as mp:
+        _parted(mp, path, parts)
+        mp.setattr(samples, "_BLOCK_ROWS", 2)
+        got = _outcome(lambda: read_csv(path, header=header, top=top))
+    want = _outcome(lambda: _scan(path, header))
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    if top is not None:
+        want = samples.TopRows(want.n, top_order_statistics(want, top))
+    _assert_same_read(got, want)
+
 
 class TestWriteCsv:
     def test_empty_table_is_header_only(self):

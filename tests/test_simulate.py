@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -359,12 +360,15 @@ class TestRunSimulation:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 3)
+        # three CPUs this process may use, on a host of 64
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 7}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
         result = run_simulation(small_config(workers=10_000))
         assert sizes == [3]
         serial = run_simulation(small_config(workers=1))
         assert result.to_table().rows == serial.to_table().rows
-        monkeypatch.setattr(simulate.os, "cpu_count", lambda: None)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
         run_simulation(small_config(workers=10_000))
         assert sizes == [3]  # unknown CPU count: one worker, in-process
 
