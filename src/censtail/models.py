@@ -19,10 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NonPositiveObservation
-from .samples import (CensoredSample, SortedCensoredSample, _integer, _RunningTop,
-                      _unchecked, sort_with_concomitants)
-
-_BLOCK_ROWS = 1 << 16  # draws per block of _top_sample, as read_csv parses rows
+from .samples import (_BLOCK_ROWS, CensoredSample, SortedCensoredSample, _finite_positive,
+                      _integer, _RunningTop, _unchecked, sort_with_concomitants)
 
 
 def _as_prob(u, lo_open, name="u"):
@@ -264,7 +262,7 @@ def _transformed_top(spec, n, m, rng):
         else:
             c = spec.censor.quantile(_uniforms(censor_words))
             z, delta = np.minimum(x, c), (x <= c).astype(np.int8)
-        if not (np.isfinite(z).all() and (z > 0).all()):
+        if not _finite_positive(z):
             raise NonPositiveObservation("all observations must be finite and strictly positive")
         kept.add(z, delta)
     sample = _unchecked(CensoredSample, *kept.rows())
@@ -314,6 +312,6 @@ def _complete_top(spec, n, m, rng):
     # the smallest word, then the top m + 1 words (all n when n <= m), ascending
     x = spec.loss.quantile(_uniforms(np.append(min(low), words[-m - 1:])))
     z = np.sort(x[-min(m, n):])  # rounding may leave neighbouring quantiles out of order
-    if np.isfinite(x).all() and (x > 0).all() and (n <= m or x[-m - 1] < z[0]):
+    if _finite_positive(x) and (n <= m or x[-m - 1] < z[0]):
         return _unchecked(SortedCensoredSample, z, np.ones(z.size, dtype=np.int8))
     return _transformed_top(spec, n, m, rng)

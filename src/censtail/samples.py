@@ -3,7 +3,7 @@ the top order statistics, ``value,delta`` CSV input, and the CSV text of
 result tables.
 
 A CSV path is parsed by ``numpy.loadtxt`` in blocks; a large file is cut
-at line ends into parts parsed at the same time, one forked process each,
+at line ends into parts parsed at the same time (:func:`_in_processes`),
 and their largest rows are merged in file order.  Whatever that pass does
 not accept is read by a row scanner, which alone reports errors."""
 
@@ -49,10 +49,8 @@ def _validate_into(sample, ordered=False):
         )
     if z.size == 0:
         raise EmptySample("sample must contain at least one observation")
-    if not np.all(np.isfinite(z)) or np.any(z <= 0.0):
-        raise NonPositiveObservation(
-            "all observations must be finite and strictly positive"
-        )
+    if not _finite_positive(z):
+        raise NonPositiveObservation("all observations must be finite and strictly positive")
     if ordered:
         if np.any(np.diff(z) < 0):
             raise ValueError("order statistics must be nondecreasing")
@@ -62,6 +60,11 @@ def _validate_into(sample, ordered=False):
     if not ((delta_raw == 0) | (delta_raw == 1)).all():
         raise InvalidIndicator("censoring indicators must be 0 or 1")
     _store(sample, z, delta_raw.astype(np.int8))
+
+
+def _finite_positive(z):
+    """Whether every entry of ``z`` is finite and strictly positive."""
+    return bool(np.isfinite(z).all() and (z > 0).all())
 
 
 def _store(sample, z, delta):
@@ -324,7 +327,7 @@ def read_csv(source, *, header=None, top=None):
                    "bytes=%(bytes)s seconds=%(seconds).6f", notes, extra={"read_csv": notes})
 
 
-_BLOCK_ROWS = 1 << 16
+_BLOCK_ROWS = 1 << 16  # rows per block: of loadtxt here, of draws in models._top_sample
 # Starting and joining a process pool takes 7-15 ms on a 2-core Xeon VM, as
 # long as loadtxt takes for about 1 MB of CSV: a part is worth a process
 # from about twice that.
@@ -349,19 +352,15 @@ def _read_path_fast(path, header, top=None, notes=None):
     the value ``float`` gives, and refuses quotes, underscores and
     non-ASCII digits, which ``float`` or csv.reader read differently.
 
-    The file is cut just past a ``\\n`` into min(usable CPUs, bytes //
-    ``_PART_BYTES``) parts, or one where :func:`_part_count` finds a fork
-    unsafe or unable to start.  This process parses the first
-    part and one forked worker each other part, all at the same time, by
-    :func:`_parse_part`; any part refused sends the whole file to the
+    The file is cut just past a ``\\n`` into ``_processes(bytes //
+    _PART_BYTES)`` parts, parsed by :func:`_parse_part` through
+    :func:`_in_processes`; any part refused sends the whole file to the
     scanner.  The parts' kept rows go into one :class:`_RunningTop` in file
     order: the top of a union is the top of the parts' tops, so the rows,
-    their order and the row count do not depend on the cuts.  A pool that
-    cannot start or breaks leaves the file to one part in this process.
-    Every worker is joined before this returns.
+    their order and the row count do not depend on the cuts.
 
-    ``notes``, a dict, gets the parts, the file's bytes and, where the
-    scanner must read the file, the reason.
+    ``notes``, a dict, gets the parts (1 if the pool failed), the bytes,
+    and why the scanner must read the file or the pool failed.
     """
     notes = {} if notes is None else notes
     try:
@@ -371,9 +370,13 @@ def _read_path_fast(path, header, top=None, notes=None):
         if not line or '"' in line or "\x00" in line:
             raise _Refused("line 1 is blank or holds a quote or a NUL")
         skip = int(_is_header(line.split(","), header))
-        ranges = _byte_ranges(path, size, _part_count(size))
+        ranges = _byte_ranges(path, size, _processes(size // _PART_BYTES))
         notes.update(parts=len(ranges), bytes=size)
-        parts = _parse_parts(path, ranges, skip, top, notes)
+        parts, failed = _in_processes(
+            _parse_part, [(path, start, stop, skip if start == 0 else 0, top)
+                          for start, stop in ranges])
+        if failed:
+            notes.update(parts=1, reason=f"process pool failed, parsed here: {failed}")
         n = sum(count for count, _ in parts)
         if n == 0:
             raise _Refused("no data rows")  # the scanner's EmptySample
@@ -401,20 +404,38 @@ def _usable_cpus():
     return os.cpu_count() or 1
 
 
-def _part_count(size):
-    """How many parts a file of ``size`` bytes is parsed in: one per
-    ``_PART_BYTES``, at most one per usable CPU, and one unless processes
-    start by ``fork`` (a spawned interpreter costs more than it saves),
-    this process runs one thread (a fork copies no other thread, nor can
-    it release a lock one holds) and it may have children."""
-    parts = min(_usable_cpus(), size // _PART_BYTES)
+def _processes(wanted):
+    """How many processes run ``wanted`` jobs, this one included: at most
+    one per usable CPU, and one unless processes start by ``fork`` (a
+    spawned interpreter costs more than most jobs save), this process runs
+    one thread (a fork copies no other thread, nor can it release a lock
+    one holds) and it may have children."""
     method = multiprocessing.get_start_method(allow_none=True)
     if method is None:
         method = multiprocessing.get_all_start_methods()[0]  # the platform's default
-    if (parts < 2 or method != "fork" or threading.active_count() > 1
+    if (wanted < 2 or method != "fork" or threading.active_count() > 1
             or multiprocessing.current_process().daemon):
         return 1
-    return parts
+    return min(wanted, _usable_cpus())
+
+
+def _in_processes(fn, jobs):
+    """``[fn(*job) for job in jobs]``, and None or why the pool failed.
+
+    The first job runs here and each other in a forked worker, all at the
+    same time, and every worker is joined before this returns.  Where the
+    pool cannot start or breaks (``OSError``, or ``RuntimeError`` such as
+    BrokenProcessPool), every job runs here, so a job that raises one of
+    those runs here again and raises."""
+    if len(jobs) > 1:
+        try:
+            with ProcessPoolExecutor(len(jobs) - 1,
+                                     mp_context=multiprocessing.get_context("fork")) as pool:
+                rest = [pool.submit(fn, *job) for job in jobs[1:]]
+                return [fn(*jobs[0]), *(future.result() for future in rest)], None
+        except (OSError, RuntimeError) as exc:
+            return [fn(*job) for job in jobs], _reason(exc)
+    return [fn(*job) for job in jobs], None
 
 
 def _byte_ranges(path, size, parts):
@@ -442,24 +463,6 @@ def _line_start_after(fh, at):
             return at + end + 1
         at += len(block)
     return None
-
-
-def _parse_parts(path, ranges, skip, top, notes):
-    """:func:`_parse_part` of each byte range in file order: the first in
-    this process, the others in forked workers at the same time.  If the
-    pool cannot start or breaks, the whole file is parsed here as one
-    part, and ``notes`` says so."""
-    if len(ranges) > 1:
-        try:
-            with ProcessPoolExecutor(len(ranges) - 1,
-                                     mp_context=multiprocessing.get_context("fork")) as pool:
-                rest = [pool.submit(_parse_part, path, start, stop, 0, top)
-                        for start, stop in ranges[1:]]
-                first = _parse_part(path, *ranges[0], skip, top)
-                return [first, *(part.result() for part in rest)]
-        except (OSError, RuntimeError) as exc:  # BrokenProcessPool is a RuntimeError
-            notes.update(parts=1, reason=f"process pool failed, one part: {_reason(exc)}")
-    return [_parse_part(path, 0, None, skip, top)]
 
 
 def _parse_part(path, start, stop, skip, top):
@@ -494,8 +497,7 @@ def _parse_part(path, start, stop, skip, top):
                     raise _Refused(f"a row holds {table.shape[1]} fields")
                 z, delta = table[:, 0], table[:, 1]
                 # the checks of CensoredSample, and delta before the cast, which would truncate
-                if not (np.isfinite(z).all() and (z > 0).all()
-                        and ((delta == 0) | (delta == 1)).all()):
+                if not (_finite_positive(z) and ((delta == 0) | (delta == 1)).all()):
                     raise _Refused("a row fails the checks of CensoredSample")
                 kept.add(z, delta.astype(np.int8))
         return kept.n, kept.rows() if kept.n else None

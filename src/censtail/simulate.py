@@ -7,9 +7,9 @@ only on the configuration and never on scheduling or worker count.
 
 from __future__ import annotations
 
+import logging
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +24,9 @@ from .kernels import (
     builtin_kernel,
 )
 from .models import Burr, Frechet, ModelSpec, Pareto, RngStream, _top_sample
-from .samples import Table, _integer, _usable_cpus
+from .samples import Table, _in_processes, _integer, _processes, _usable_cpus
+
+_log = logging.getLogger("censtail")
 
 CONFIG_SCHEMA = "censtail-sim-config/1"
 RESULT_SCHEMA = "censtail-sim-result/1"
@@ -42,9 +44,11 @@ class SimulationConfig:
     :class:`~censtail.kernels.Kernel` objects (each adds a
     ``kernel_<name>`` column next to the plain ``estimators``); a built-in
     given as an object is stored by name.  ``workers`` is a hint only:
-    results are identical for any worker count.  Running a custom kernel in
-    more than one worker needs a picklable kernel (module-level functions,
-    not lambdas), and only built-in kernels round-trip through JSON.
+    results are identical for any worker count, run in at most min(workers,
+    replications, usable CPUs) processes by the rule of ``_processes`` in
+    :mod:`censtail.samples`.  A custom kernel run in more than one process
+    must be picklable (module-level functions, not lambdas), and only
+    built-in kernels round-trip through JSON.
     """
 
     model: ModelSpec
@@ -305,23 +309,30 @@ def _replicate_paths(config, r_start, r_stop):
     return np.stack(out)
 
 
-def _collect_paths(config):
+def _collect_paths(config, notes=None):
     """Every replication's estimates, stacked as (replication, column, k)
-    with NaN for undefined cells, in replication order for any worker count."""
+    with NaN for undefined cells, in replication order for any worker count.
+
+    The replications are cut into ``_processes(min(workers, replications))``
+    near-equal runs, run by :func:`_in_processes`.  ``notes``, a dict, gets
+    the processes used and why they are fewer than min(workers,
+    replications): "CPU bound", "fork unsafe" or "pool failed: ..."."""
+    notes = {} if notes is None else notes
     total = config.replications
-    workers = min(config.workers, total, _usable_cpus())
+    wanted = min(config.workers, total)
+    processes = _processes(wanted)
+    bounds = [1 + total * i // processes for i in range(processes + 1)]
     try:
-        if workers <= 1:
-            return _replicate_paths(config, 1, total + 1)
-        per = math.ceil(total / (workers * 4))
-        chunks = [(start, min(start + per, total + 1)) for start in range(1, total + 1, per)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            pieces = list(
-                pool.map(_replicate_paths, [config] * len(chunks), *zip(*chunks))
-            )
+        pieces, failed = _in_processes(
+            _replicate_paths, [(config, start, stop) for start, stop in zip(bounds, bounds[1:])])
     except Exception as exc:
         raise SimulationError(f"simulation replication failed: {exc}") from exc
-    return np.concatenate(pieces)
+    notes.update(processes=processes, reason=None)
+    if failed:
+        notes.update(processes=1, reason=f"pool failed: {failed}")
+    elif processes < wanted:
+        notes["reason"] = "CPU bound" if processes == min(wanted, _usable_cpus()) else "fork unsafe"
+    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
 
 def run_simulation(config):
@@ -338,9 +349,15 @@ def run_simulation(config):
         aggregated over the replications where the estimator was defined.
         Results are bit-identical for a fixed master seed regardless of
         worker count.
+
+    Each run logs one debug event to the ``censtail`` logger, the dict in
+    its record's ``run_simulation`` attribute: the replications, the
+    workers asked for, the processes used and why they were fewer (see
+    :func:`_collect_paths`), and the seconds.
     """
     started = time.perf_counter()
-    paths = _collect_paths(config)
+    notes = {"replications": config.replications, "workers": config.workers}
+    paths = _collect_paths(config, notes)
     target = config.model.gamma1
     names = _columns(config.estimators, [kern.name for kern in config._kernel_objects()])
     cells = {}
@@ -354,7 +371,10 @@ def run_simulation(config):
             CellAggregate(m, m - target, e, c) if c else CellAggregate(None, None, None, 0)
             for m, e, c in zip(mean.tolist(), mse.tolist(), count.tolist())
         )
-    runtime = time.perf_counter() - started
+    runtime = notes["seconds"] = time.perf_counter() - started
+    _log.debug("run_simulation: replications=%(replications)s workers=%(workers)s "
+               "processes=%(processes)s reason=%(reason)s seconds=%(seconds).6f",
+               notes, extra={"run_simulation": notes})
     return SimulationResult(config=config, cells=cells, runtime_seconds=runtime)
 
 

@@ -664,7 +664,7 @@ class TestReadCsvParts:
         path = tmp_path / "bad.csv"
         path.write_bytes(data)
         cut = len(head) if bad_row_starts_the_part else head.index(b"\n", len(head) // 2) + 1
-        monkeypatch.setattr(samples, "_part_count", lambda size: 2)
+        monkeypatch.setattr(samples, "_processes", lambda wanted: 2)
         monkeypatch.setattr(samples, "_byte_ranges",
                             lambda path, size, parts: [(0, cut), (cut, None)])
         notes = {}
@@ -730,22 +730,22 @@ class TestReadCsvParts:
 
         monkeypatch.setattr(samples, "_usable_cpus", lambda: 4)
         size = 4 * samples._PART_BYTES
-        assert samples._part_count(size) == (
+        assert samples._processes(size // samples._PART_BYTES) == (
             4 if multiprocessing.get_all_start_methods()[0] == "fork" else 1)
-        assert samples._part_count(size - 3 * samples._PART_BYTES) == 1
+        assert samples._processes((size - 3 * samples._PART_BYTES) // samples._PART_BYTES) == 1
         with monkeypatch.context() as mp:
             mp.setattr(multiprocessing, "get_start_method", lambda allow_none=False: "spawn")
-            assert samples._part_count(size) == 1
+            assert samples._processes(size // samples._PART_BYTES) == 1
 
         with monkeypatch.context() as mp:
             mp.setattr(samples.threading, "active_count", lambda: 2)
-            assert samples._part_count(size) == 1
+            assert samples._processes(size // samples._PART_BYTES) == 1
 
         class Daemon:
             daemon = True
 
         monkeypatch.setattr(multiprocessing, "current_process", lambda: Daemon())
-        assert samples._part_count(size) == 1
+        assert samples._processes(size // samples._PART_BYTES) == 1
 
     def test_usable_cpus_count_the_affinity_mask(self, monkeypatch):
         monkeypatch.setattr(samples.os, "sched_getaffinity", lambda pid: {0, 3, 5},

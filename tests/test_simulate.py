@@ -1,6 +1,11 @@
 import json
+import logging
 import math
+import multiprocessing
 import os
+import threading
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -23,7 +28,7 @@ from censtail import (
     sort_with_concomitants,
     top_order_statistics,
 )
-from censtail import models
+from censtail import models, samples, simulate
 from censtail.errors import ConfigError, SimulationError, TooFewPoints
 from censtail.estimators import _tail_path
 from censtail.simulate import _collect_paths, _replicate_paths
@@ -340,15 +345,14 @@ class TestRunSimulation:
         assert serial.to_table().rows == parallel.to_table().rows
 
     def test_pool_size_is_bounded(self, monkeypatch):
-        import censtail.simulate as simulate
-
         sizes = []
 
         class RecordingPool:
-            """Stands in for ProcessPoolExecutor; runs chunks in-process."""
+            """Stands in for ProcessPoolExecutor; runs jobs in-process and
+            records the processes, this one included."""
 
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+            def __init__(self, max_workers, mp_context=None):
+                sizes.append(max_workers + 1)
 
             def __enter__(self):
                 return self
@@ -356,10 +360,12 @@ class TestRunSimulation:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
 
-        monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(samples, "ProcessPoolExecutor", RecordingPool)
         # three CPUs this process may use, on a host of 64
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 7}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
@@ -430,6 +436,159 @@ class TestRunSimulation:
         assert doc["schema"] == "censtail-sim-result/1"
         assert doc["config"]["n"] == 120
         assert len(doc["results"]) == len(table.rows)
+
+
+FORK_DEFAULT = multiprocessing.get_all_start_methods()[0] == "fork"
+needs_fork = pytest.mark.skipif(not FORK_DEFAULT, reason="workers start only by fork")
+
+
+def _rows(config):
+    return run_simulation(config).to_table().rows
+
+
+def _send_rows(config, conn):
+    """Send the rows of ``config``'s run, or the error it raised."""
+    try:
+        conn.send(_rows(config))
+    except Exception as exc:
+        conn.send(repr(exc))
+    conn.close()
+
+
+def _events(caplog):
+    return [record.run_simulation for record in caplog.records
+            if hasattr(record, "run_simulation")]
+
+
+class TestProcesses:
+    """The replications in other processes, by the one rule of
+    samples._processes, through samples._in_processes."""
+
+    @needs_fork
+    def test_a_daemon_runs_every_replication_itself(self, monkeypatch):
+        monkeypatch.setattr(samples, "_usable_cpus", lambda: 2)
+        context = multiprocessing.get_context("fork")
+        receive, send = context.Pipe(duplex=False)
+        daemon = context.Process(target=_send_rows, args=(small_config(workers=2), send),
+                                 daemon=True)
+        daemon.start()
+        send.close()
+        try:
+            assert receive.poll(120)
+            got = receive.recv()
+        finally:
+            daemon.join(120)
+        assert daemon.exitcode == 0
+        assert got == _rows(small_config(workers=1))
+
+    def test_a_second_thread_starts_no_process(self, monkeypatch):
+        started = []
+        start = multiprocessing.process.BaseProcess.start
+
+        def recording_start(process):
+            started.append(process)
+            start(process)
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", recording_start)
+        monkeypatch.setattr(samples, "_usable_cpus", lambda: 2)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            rows = _rows(small_config(workers=2))
+        finally:
+            stop.set()
+            thread.join()
+        assert started == []
+        assert rows == _rows(small_config(workers=1))
+
+    @needs_fork
+    def test_no_worker_outlives_a_run(self, monkeypatch, caplog):
+        monkeypatch.setattr(samples, "_usable_cpus", lambda: 2)
+        caplog.set_level(logging.DEBUG, logger="censtail")
+        config = small_config(workers=2)
+        assert _rows(config) == _rows(small_config(workers=1))
+        assert _events(caplog)[0]["processes"] == 2
+        assert multiprocessing.active_children() == []
+
+        def failing(*args, **kwargs):
+            raise ValueError("no path")
+
+        monkeypatch.setattr(simulate, "_tail_path", failing)
+        with pytest.raises(SimulationError, match="replication failed: no path"):
+            run_simulation(config)
+        assert multiprocessing.active_children() == []
+
+    @needs_fork
+    def test_uneven_chunks_on_three_processes(self, monkeypatch):
+        monkeypatch.setattr(samples, "_usable_cpus", lambda: 3)
+        chunks = []
+        in_processes = simulate._in_processes
+
+        def recording(fn, jobs):
+            chunks.append([job[1:] for job in jobs])
+            return in_processes(fn, jobs)
+
+        monkeypatch.setattr(simulate, "_in_processes", recording)
+        config = small_config(replications=5, workers=3)
+        assert _rows(config) == _rows(small_config(replications=5, workers=1))
+        assert chunks[0] == [(1, 2), (2, 4), (4, 6)]
+
+    @needs_fork
+    @pytest.mark.parametrize("failure", ["start", "submit", "result"])
+    def test_a_pool_that_fails_gives_the_serial_result(self, monkeypatch, caplog, failure):
+        class FailingPool:
+            def __init__(self, *args, **kwargs):
+                if failure == "start":
+                    raise OSError("no processes")
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                if failure == "submit":
+                    raise BrokenProcessPool("a worker died")
+                return self
+
+            def result(self):
+                raise BrokenProcessPool("a worker died")
+
+        serial = _rows(small_config(workers=1))
+        monkeypatch.setattr(samples, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(samples, "ProcessPoolExecutor", FailingPool)
+        caplog.set_level(logging.DEBUG, logger="censtail")
+        assert _rows(small_config(workers=2)) == serial
+        event = _events(caplog)[-1]
+        assert event["processes"] == 1 and event["reason"].startswith("pool failed: ")
+
+    @needs_fork
+    def test_each_run_logs_one_debug_event(self, monkeypatch, caplog, capsys):
+        monkeypatch.setattr(samples, "_usable_cpus", lambda: 2)
+        caplog.set_level(logging.DEBUG, logger="censtail")
+        _rows(small_config(workers=1))
+        _rows(small_config(workers=10))
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            _rows(small_config(workers=2))
+        finally:
+            stop.set()
+            thread.join()
+        records = [record for record in caplog.records if hasattr(record, "run_simulation")]
+        assert [(record.name, record.levelno) for record in records] == [
+            ("censtail", logging.DEBUG)] * 3
+        serial, bound, threaded = (record.run_simulation for record in records)
+        assert {key: serial[key] for key in ("replications", "workers", "processes", "reason")} \
+            == {"replications": 12, "workers": 1, "processes": 1, "reason": None}
+        assert (bound["workers"], bound["processes"], bound["reason"]) == (10, 2, "CPU bound")
+        assert (threaded["processes"], threaded["reason"]) == (1, "fork unsafe")
+        assert all(record.run_simulation["seconds"] >= 0 for record in records)
+        assert "processes=2 reason=CPU bound" in records[1].getMessage()
+        assert capsys.readouterr() == ("", "")
 
 
 class TestCurveSmoothness:
