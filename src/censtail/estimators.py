@@ -38,10 +38,10 @@ from .samples import (
     SortedCensoredSample,
     Table,
     _integer,
+    _tie_blocks,
     sort_with_concomitants,
     top_order_statistics,
 )
-from .survival import _tie_blocks
 
 ESTIMATOR_NAMES = ("hill", "p_hat", "efg", "worms", "mns")
 

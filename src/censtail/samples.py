@@ -67,6 +67,12 @@ def _finite_positive(z):
     return bool(np.isfinite(z).all() and (z > 0).all())
 
 
+def _tie_blocks(z):
+    """Start and one-past-end index of each tie block of the sorted values z."""
+    start = np.flatnonzero(np.concatenate(([True], z[1:] != z[:-1])))
+    return start, np.append(start[1:], z.size)
+
+
 def _store(sample, z, delta):
     object.__setattr__(sample, "z", _freeze(z))
     object.__setattr__(sample, "delta", _freeze(delta))

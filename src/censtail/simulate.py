@@ -353,7 +353,9 @@ def run_simulation(config):
     Each run logs one debug event to the ``censtail`` logger, the dict in
     its record's ``run_simulation`` attribute: the replications, the
     workers asked for, the processes used and why they were fewer (see
-    :func:`_collect_paths`), and the seconds.
+    :func:`_collect_paths`), the seconds, and the undefined cells by cause:
+    NaN ``efg`` cells as ``DegenerateP``, NaN ``worms`` cells as
+    ``ZeroSurvivalAtThreshold`` (0 for a column not asked for).
     """
     started = time.perf_counter()
     notes = {"replications": config.replications, "workers": config.workers}
@@ -371,9 +373,13 @@ def run_simulation(config):
             CellAggregate(m, m - target, e, c) if c else CellAggregate(None, None, None, 0)
             for m, e, c in zip(mean.tolist(), mse.tolist(), count.tolist())
         )
+    notes["undefined"] = {
+        cause: sum(config.replications - cell.defined_count for cell in cells.get(name, ()))
+        for name, cause in (("efg", "DegenerateP"), ("worms", "ZeroSurvivalAtThreshold"))}
     runtime = notes["seconds"] = time.perf_counter() - started
     _log.debug("run_simulation: replications=%(replications)s workers=%(workers)s "
-               "processes=%(processes)s reason=%(reason)s seconds=%(seconds).6f",
+               "processes=%(processes)s reason=%(reason)s seconds=%(seconds).6f "
+               "undefined=%(undefined)s",
                notes, extra={"run_simulation": notes})
     return SimulationResult(config=config, cells=cells, runtime_seconds=runtime)
 

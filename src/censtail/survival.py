@@ -1,10 +1,10 @@
 """Product-limit survival estimators as step curves.
 
-Two step curves are derived from a sorted censored sample: the
-Kaplan-Meier and Nelson-Aalen estimators of the underlying (uncensored)
-distribution.  Both are represented by the same :class:`StepCurve`
-container and differ only in their jump values and in the evaluation
-convention at a jump point.
+The Kaplan-Meier and Nelson-Aalen estimators of the underlying (uncensored)
+distribution, read off the tail engine of :mod:`censtail.estimators` with
+the whole sample as its view; an unsorted sample gives the curves of its
+sorted copy.  Both are :class:`StepCurve` objects and differ only in their
+jump values and in the evaluation convention at a jump point.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .samples import _freeze
+from .estimators import _top_view, _view_survival
+from .samples import _finite_positive, _freeze, _tie_blocks
 
 
 @dataclass(frozen=True)
@@ -43,9 +44,9 @@ class StepCurve:
         values = np.asarray(self.values_after, dtype=float)
         if jumps.shape != values.shape or jumps.ndim != 1:
             raise ValueError("jump_points and values_after must be 1-d, equal length")
-        if jumps.size and (np.any(jumps <= 0) or np.any(np.diff(jumps) <= 0)):
-            raise ValueError("jump_points must be strictly ascending positives")
-        if np.any(values < 0) or np.any(values > 1) or np.any(np.diff(values) > 0):
+        if not (_finite_positive(jumps) and np.all(np.diff(jumps) > 0)):
+            raise ValueError("jump_points must be strictly ascending finite positives")
+        if not (np.all((values >= 0) & (values <= 1)) and np.all(np.diff(values) <= 0)):
             raise ValueError("values_after must be nonincreasing within [0, 1]")
         object.__setattr__(self, "jump_points", _freeze(jumps))
         object.__setattr__(self, "values_after", _freeze(values))
@@ -60,34 +61,24 @@ class StepCurve:
         return out
 
 
-def _tie_blocks(z):
-    """Start and one-past-end index of each tie block of the sorted values z."""
-    start = np.flatnonzero(np.concatenate(([True], z[1:] != z[:-1])))
-    return start, np.append(start[1:], z.size)
+def _curve(sample, with_km):
+    """The Kaplan-Meier curve if ``with_km``, else the Nelson-Aalen curve.
 
-
-def _km_after_blocks(sample, end):
-    """Kaplan-Meier survival just after each tie block: the product of the
-    factors (n - i) / (n - i + 1) over the uncensored ranks i up to the block."""
-    n = sample.n
-    positions = np.arange(n)
-    ratio = (n - 1.0 - positions) / (n - positions)
-    factors = np.where(sample.delta == 1, ratio, 1.0)
-    return np.cumprod(factors)[end - 1]
-
-
-def _na_after_blocks(sample, end):
-    """Nelson-Aalen survival just after each tie block: exp of minus the
-    hazards 1 / (n - i + 1) summed over the uncensored ranks i up to the block."""
-    n = sample.n
-    hazard = sample.delta / (n - np.arange(n))
-    return np.exp(-np.cumsum(hazard)[end - 1])
-
-
-def _drop_flat_steps(jumps, values):
-    before = np.concatenate(([1.0], values[:-1]))
-    keep = values < before
-    return jumps[keep], values[keep]
+    :func:`~censtail.estimators._view_survival` gives both up to a factor,
+    fixed by a censored row at 0, below the sample, where both are 1.  Steps
+    are at the tie blocks holding an uncensored observation, not where the
+    values change: the blocked sums are not flat to the bit across blocks.
+    """
+    z, delta = _top_view(sample, 0)
+    z, delta = np.append(0.0, z), np.append(0, delta)
+    start, end = _tie_blocks(z)
+    na, km = _view_survival(z, delta / np.arange(z.size, 0, -1), with_km)
+    if with_km:  # the value at a block includes the block's own factors
+        values = km[end - 1] / km[0]
+    else:  # the value after a block is the next block's, or the empty sum's
+        values = np.append(na, 1.0)[end] / na[0]
+    steps = delta[start] == 1  # uncensored rows lead their tie block
+    return StepCurve(z[start][steps], values[steps], include_at_jump=with_km)
 
 
 def kaplan_meier_curve(sample):
@@ -97,9 +88,7 @@ def kaplan_meier_curve(sample):
     (right-continuous).  The curve reaches exactly zero when and only when
     the largest observation is uncensored.
     """
-    start, end = _tie_blocks(sample.z)
-    jumps, values = _drop_flat_steps(sample.z[start], _km_after_blocks(sample, end))
-    return StepCurve(jumps, values, include_at_jump=True)
+    return _curve(sample, True)
 
 
 def nelson_aalen_curve(sample):
@@ -111,16 +100,14 @@ def nelson_aalen_curve(sample):
     strictly positive everywhere; in particular it is safe as a
     denominator, unlike Kaplan-Meier.
     """
-    start, end = _tie_blocks(sample.z)
-    jumps, values = _drop_flat_steps(sample.z[start], _na_after_blocks(sample, end))
-    return StepCurve(jumps, values, include_at_jump=False)
+    return _curve(sample, False)
 
 
 def kaplan_meier_survival(sample, x):
     """Kaplan-Meier survival at a single point.
 
-    Builds the curve (O(n)) and evaluates once; construct
-    :func:`kaplan_meier_curve` directly for repeated evaluation.
+    Builds the curve (O(n) sorted, O(n log n) unsorted) and evaluates once;
+    construct :func:`kaplan_meier_curve` directly for repeated evaluation.
     """
     return kaplan_meier_curve(sample).survival(float(x))
 
@@ -128,7 +115,7 @@ def kaplan_meier_survival(sample, x):
 def nelson_aalen_survival(sample, z):
     """Nelson-Aalen survival at a single point (strictly positive).
 
-    Builds the curve (O(n)) and evaluates once; construct
-    :func:`nelson_aalen_curve` directly for repeated evaluation.
+    Builds the curve (O(n) sorted, O(n log n) unsorted) and evaluates once;
+    construct :func:`nelson_aalen_curve` directly for repeated evaluation.
     """
     return nelson_aalen_curve(sample).survival(float(z))

@@ -1,9 +1,16 @@
 """Slow reference implementations, kept only as test oracles.
 
 ``_TailArrays`` is the per-estimator implementation the engine in
-:mod:`censtail.estimators` replaced, kept verbatim: one method per
-estimator, each re-slicing the order statistics at its own k, with survival
-read off fully built step curves.
+:mod:`censtail.estimators` replaced: one method per estimator, each
+re-slicing the order statistics at its own k, with survival read off fully
+built reference step curves.
+
+``reference_km_curve`` and ``reference_na_curve`` build the Kaplan-Meier
+and Nelson-Aalen curves of a sorted sample from the bottom, by a cumulative
+product and a cumulative sum over the ranks.  They are the reference for
+the curves of :mod:`censtail.survival`, which come from the tail engine's
+sums from the top, and the survival oracle of ``_TailArrays`` and of the
+engine's tests, which would otherwise compare the engine with itself.
 
 ``KERNEL_FORMULAS`` holds K, g' and g'' of each built-in kernel as
 hand-expanded formulas on the support, the reference for the coefficient
@@ -26,14 +33,8 @@ which the integral-form oracles of the estimators are built.
 import numpy as np
 
 from censtail.errors import DegenerateP, ZeroSurvivalAtThreshold
-from censtail.samples import CensoredSample
-from censtail.survival import (
-    StepCurve,
-    _drop_flat_steps,
-    _tie_blocks,
-    kaplan_meier_curve,
-    nelson_aalen_curve,
-)
+from censtail.samples import CensoredSample, _tie_blocks
+from censtail.survival import StepCurve
 
 KERNEL_FORMULAS = {
     "indicator": dict(
@@ -67,8 +68,8 @@ class _TailArrays:
         self.z = sample.z
         self.delta = sample.delta.astype(float)
         self.logz = np.log(sample.z)
-        self.na_at = nelson_aalen_curve(sample).survival(sample.z)
-        self.km_at = kaplan_meier_curve(sample).survival(sample.z)
+        self.na_at = reference_na_curve(sample).survival(sample.z)
+        self.km_at = reference_km_curve(sample).survival(sample.z)
 
     def hill(self, k):
         n = self.n
@@ -110,6 +111,34 @@ class _TailArrays:
         i = np.arange(1, k + 1, dtype=float)
         return float(np.sum((d / i) * ratios * kern.g_prime(ratios) * logs))
 
+
+def _drop_flat_steps(jumps, values):
+    before = np.concatenate(([1.0], values[:-1]))
+    keep = values < before
+    return jumps[keep], values[keep]
+
+
+def reference_km_curve(sample):
+    """Kaplan-Meier curve of a sorted sample, from the bottom: just after
+    each tie block, the product of the factors (n - i) / (n - i + 1) over
+    the uncensored ranks i up to the block."""
+    n = sample.n
+    start, end = _tie_blocks(sample.z)
+    positions = np.arange(n)
+    factors = np.where(sample.delta == 1, (n - 1.0 - positions) / (n - positions), 1.0)
+    jumps, values = _drop_flat_steps(sample.z[start], np.cumprod(factors)[end - 1])
+    return StepCurve(jumps, values, include_at_jump=True)
+
+
+def reference_na_curve(sample):
+    """Nelson-Aalen curve of a sorted sample, from the bottom: just after
+    each tie block, exp of minus the hazards 1 / (n - i + 1) summed over
+    the uncensored ranks i up to the block."""
+    n = sample.n
+    start, end = _tie_blocks(sample.z)
+    hazard = sample.delta / (n - np.arange(n))
+    jumps, values = _drop_flat_steps(sample.z[start], np.exp(-np.cumsum(hazard)[end - 1]))
+    return StepCurve(jumps, values, include_at_jump=False)
 
 
 def blocked_suffix_sums(x, block=256):

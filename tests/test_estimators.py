@@ -14,7 +14,6 @@ from censtail import (
     hill,
     kernel_estimator,
     mns,
-    nelson_aalen_curve,
     builtin_kernel,
     custom_kernel,
     p_hat,
@@ -23,7 +22,7 @@ from censtail import (
 )
 from censtail.errors import ConfigError, DegenerateP, InvalidK, ZeroSurvivalAtThreshold
 from conftest import make_censored, make_complete
-from reference_impl import empirical_H, empirical_H1, survival_before
+from reference_impl import empirical_H, empirical_H1, reference_na_curve, survival_before
 
 
 def sample_of(z, delta):
@@ -32,9 +31,9 @@ def sample_of(z, delta):
 
 def integral_form_oracle(sample, k, kernel):
     """Stepwise integration of the tail functional over the jumps of the
-    estimated distribution, built only from the curve objects.  Independent
-    of the closed-sum implementation; valid for tie-free samples."""
-    na = nelson_aalen_curve(sample)
+    estimated distribution, built only from the reference curve objects.
+    Independent of the closed-sum implementation; valid for tie-free samples."""
+    na = reference_na_curve(sample)
     H = empirical_H(sample)
     H1 = empirical_H1(sample)
     threshold = sample.z[sample.n - k - 1]

@@ -578,10 +578,20 @@ class TestProcesses:
         finally:
             stop.set()
             thread.join()
+        # tail indices near 0 make values tie within a few ulps of 1, so
+        # some top-k are all censored and some tie at an uncensored maximum
+        tied = small_config(model=ModelSpec(loss=Pareto(1e-16), censor=Frechet(1e-16)),
+                            k_values=(1, 2, 5, 10))
+        _rows(tied)
         records = [record for record in caplog.records if hasattr(record, "run_simulation")]
         assert [(record.name, record.levelno) for record in records] == [
-            ("censtail", logging.DEBUG)] * 3
-        serial, bound, threaded = (record.run_simulation for record in records)
+            ("censtail", logging.DEBUG)] * 4
+        serial, bound, threaded, ties = (record.run_simulation for record in records)
+        efg_cells, worms_cells = _collect_paths(tied)[:, 1:3].swapaxes(0, 1)
+        assert ties["undefined"] == {"DegenerateP": np.isnan(efg_cells).sum(),
+                                     "ZeroSurvivalAtThreshold": np.isnan(worms_cells).sum()}
+        assert min(ties["undefined"].values()) > 0
+        assert "undefined={'DegenerateP': " in records[3].getMessage()
         assert {key: serial[key] for key in ("replications", "workers", "processes", "reason")} \
             == {"replications": 12, "workers": 1, "processes": 1, "reason": None}
         assert (bound["workers"], bound["processes"], bound["reason"]) == (10, 2, "CPU bound")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from censtail import (
     CensoredSample,
@@ -13,7 +15,13 @@ from censtail import (
     sort_with_concomitants,
 )
 from conftest import make_censored
-from reference_impl import empirical_H, empirical_H1, survival_before
+from reference_impl import (
+    empirical_H,
+    empirical_H1,
+    reference_km_curve,
+    reference_na_curve,
+    survival_before,
+)
 
 
 def sample_of(z, delta):
@@ -196,7 +204,11 @@ class TestStepCurve:
         ([3.0, 2.0, 1.0], [0.6, 0.4, 0.2], "strictly ascending"),
         ([1.0, 1.0], [0.6, 0.4], "strictly ascending"),
         ([1.0, 2.0], [0.6], "equal length"),
-    ], ids=["descending-jumps", "repeated-jump", "unequal-lengths"])
+        ([math.nan], [0.5], "strictly ascending"),
+        ([1.0], [math.nan], "nonincreasing within"),
+        ([1.0, math.inf], [0.5, 0.2], "strictly ascending"),
+    ], ids=["descending-jumps", "repeated-jump", "unequal-lengths", "nan-jump", "nan-value",
+            "infinite-jump"])
     def test_validation_messages(self, jumps, values, message):
         with pytest.raises(ValueError, match=message):
             StepCurve(np.array(jumps), np.array(values), True)
@@ -205,3 +217,72 @@ class TestStepCurve:
         curve = StepCurve(np.array([1.0, 2.0]), np.array([0.6, 0.2]), True)
         out = curve.survival(np.array([0.5, 1.0, 1.5, 2.0, 3.0]))
         assert out.tolist() == [1.0, 0.6, 0.6, 0.2, 0.2]
+
+
+class TestUnsortedInput:
+    """An unsorted CensoredSample gives the curves of its sorted copy."""
+
+    def test_tie_listed_censored_first(self):
+        # sorted, the uncensored 2 comes first: at risk 3 with one death
+        sample = CensoredSample(np.array([1.0, 2.0, 2.0, 3.0]), np.array([1, 0, 1, 1]))
+        assert kaplan_meier_survival(sample, 2.0) == pytest.approx(0.5, abs=1e-15)
+        assert kaplan_meier_curve(sample).values_after[1] == pytest.approx(0.5, abs=1e-15)
+        want = math.exp(-1 / 4 - 1 / 3)
+        assert nelson_aalen_survival(sample, 2.5) == pytest.approx(want, abs=1e-15)
+        assert nelson_aalen_curve(sample).values_after[1] == pytest.approx(want, abs=1e-15)
+
+    def test_shuffled_equals_sorted(self, rng):
+        for _ in range(10):
+            sample = make_censored(rng, allow_ties=True)
+            order = rng.permutation(sample.n)
+            shuffled = CensoredSample(sample.z[order], sample.delta[order])
+            grid = np.concatenate(([sample.z[0] / 2], sample.z, sample.z * 1.0001))
+            for curve, at in ((kaplan_meier_curve, kaplan_meier_survival),
+                              (nelson_aalen_curve, nelson_aalen_survival)):
+                want, got = curve(sample), curve(shuffled)
+                assert np.array_equal(got.jump_points, want.jump_points)
+                assert np.array_equal(got.values_after, want.values_after)
+                assert [at(shuffled, x) for x in grid] == [at(sample, x) for x in grid]
+
+
+CURVE_CASES = ("ties", "all censored", "uncensored maximum", "n = 1", "n > 256")
+
+
+@st.composite
+def _curve_samples(draw, case):
+    """A sample shaped by ``case``, its values drawn from a seeded generator."""
+    n = {"n = 1": 1, "n > 256": draw(st.integers(257, 900))}.get(case, draw(st.integers(2, 120)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = rng.pareto(draw(st.floats(0.5, 3.0)), n) + 1.0
+    if case == "ties" or draw(st.booleans()):
+        z = np.round(z, draw(st.integers(0, 1)))
+    delta = (rng.random(n) >= draw(st.floats(0.0, 0.9))).astype(int)
+    if case == "all censored":
+        delta[:] = 0
+    if case == "uncensored maximum":
+        delta[z == z.max()] = 1
+    return z, delta
+
+
+@pytest.mark.parametrize("case", CURVE_CASES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_curves_match_the_reference(case, data):
+    """The engine-built curves, of a sorted and of a shuffled sample, step
+    at the reference's jump points with values within 1e-12 and zeros in the
+    same places."""
+    z, delta = data.draw(_curve_samples(case))
+    sample = sample_of(z, delta)
+    order = data.draw(st.permutations(range(z.size)))
+    shuffled = CensoredSample(z[order], delta[order])
+    for curve, reference in ((kaplan_meier_curve, reference_km_curve),
+                             (nelson_aalen_curve, reference_na_curve)):
+        want = reference(sample)
+        for got in (curve(sample), curve(shuffled)):
+            assert np.array_equal(got.jump_points, want.jump_points)
+            assert np.array_equal(got.values_after == 0, want.values_after == 0)
+            assert np.allclose(got.values_after, want.values_after, rtol=0, atol=1e-12)
+    km = kaplan_meier_curve(sample)
+    assert (km.survival(z.max()) == 0.0) == (sample.delta[-1] == 1)
+    if case == "all censored":
+        assert km.jump_points.size == 0
