@@ -19,7 +19,7 @@ import tempfile
 import warnings
 
 from .errors import ConfigError, DataError, UsageError
-from .estimators import ESTIMATOR_NAMES, _check_k, _columns, estimate_path
+from .estimators import ESTIMATOR_NAMES, _columns, _k_grid, estimate_path
 from .kernels import (
     BUILTIN_KERNEL_NAMES,
     MomentSpec,
@@ -174,8 +174,7 @@ def _cmd_estimate(args):
     # every argument is checked before the input is read, and k against the
     # full n after it: a k_max below 1 keeps one row, then fails that check
     rows = read_csv(args.input, header=header, top=max(k_values[-1], 0) + 1)
-    for k in k_values:
-        _check_k(k, rows.n)  # against the full n, which the top rows no longer have
+    k_values = _k_grid(k_values, rows.n)  # the full n, which the top rows no longer have
     path = estimate_path(sort_with_concomitants(rows.sample), k_values, estimators, kernels)
     _write_atomic([(args.output, render_csv(path.to_table()))])
     return 0

@@ -22,7 +22,7 @@ kernel estimator with the indicator kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isnan
+from math import inf, isnan
 
 import numpy as np
 
@@ -48,12 +48,27 @@ ESTIMATOR_NAMES = ("hill", "p_hat", "efg", "worms", "mns")
 KERNEL_COLUMN_PREFIX = "kernel_"
 
 
-def _check_k(k, n, allow_n=False):
-    limit = n if allow_n else n - 1
-    k = _integer(k, "k", InvalidK)
+def _check_k(k, n, allow_n=False, error=InvalidK, **fields):
+    """``k`` as a Python int in [1, n - 1] ([1, n] with ``allow_n``, [1, inf)
+    with n None); anything else raises ``error`` with ``fields``."""
+    k = _integer(k, "k", error, **fields)
+    limit = inf if n is None else n if allow_n else n - 1
     if not 1 <= k <= limit:
-        raise InvalidK(f"k must satisfy 1 <= k <= {limit} (n = {n}), got {k}")
+        raise error(f"k must be >= 1, got {k}" if n is None else
+                    f"k must satisfy 1 <= k <= {limit} (n = {n}), got {k}", **fields)
     return k
+
+
+def _k_grid(k_values, n, error=InvalidK, **fields):
+    """The k grid as a tuple of ints, each checked by :func:`_check_k` and above the
+    last.  It is read one k at a time: a grid past n - 1 stops at its first k past it."""
+    grid = []
+    for k in k_values:
+        k = _check_k(k, n, error=error, **fields)
+        if grid and k <= grid[-1]:
+            raise error(f"k grid must be strictly ascending, got {k} after {grid[-1]}", **fields)
+        grid.append(k)
+    return tuple(grid)
 
 
 def _columns(estimators, kernel_names):
@@ -351,7 +366,7 @@ def kernel_estimator(sample, k, kernel):
 
 @dataclass(frozen=True)
 class EstimatePath:
-    """Estimator values along an ascending grid of k.
+    """Estimator values along a grid of k: strictly ascending ints >= 1, unbounded above.
 
     ``estimates`` maps a column name to a tuple aligned with ``k_values``;
     cells where an estimator is undefined (e.g. all top-k observations
@@ -362,11 +377,7 @@ class EstimatePath:
     estimates: dict
 
     def __post_init__(self):
-        k_values = tuple(_integer(k, "k", InvalidK) for k in self.k_values)
-        if any(k < 1 for k in k_values):
-            raise InvalidK("all k values must be >= 1")
-        if any(b <= a for a, b in zip(k_values, k_values[1:])):
-            raise InvalidK("k values must be strictly ascending")
+        k_values = _k_grid(self.k_values, None)
         estimates = {}
         for name, column in self.estimates.items():
             column = tuple(column)
@@ -399,7 +410,7 @@ def estimate_path(sample, k_values, estimators=ESTIMATOR_NAMES, kernels=()):
     sample : SortedCensoredSample or CensoredSample
         An unsorted sample gives the same values as its sorted copy.
     k_values : iterable of int
-        Strictly ascending, all within [1, n-1].
+        Strictly ascending ints within [1, n-1], read one k at a time (:func:`_k_grid`).
     estimators : iterable of str
         Any of "hill", "p_hat", "efg", "worms", "mns".
     kernels : iterable of Kernel
@@ -413,16 +424,13 @@ def estimate_path(sample, k_values, estimators=ESTIMATOR_NAMES, kernels=()):
         Cells where an estimator raises a degeneracy error (DegenerateP,
         ZeroSurvivalAtThreshold) are None; invalid k is a hard error.
     """
-    n = sample.n
-    k_list = [_check_k(k, n) for k in k_values]
-    if any(b <= a for a, b in zip(k_list, k_list[1:])):
-        raise InvalidK("k grid must be strictly ascending")
+    k_values = _k_grid(k_values, sample.n)
     names = [str(e) for e in estimators]
     kernels = tuple(_check_kernel(kern) for kern in kernels)
     columns = _columns(names, [kern.name for kern in kernels])
-    rows = _tail_path(sample, k_list, names, kernels)
+    rows = _tail_path(sample, k_values, names, kernels)
     return EstimatePath(
-        tuple(k_list),
+        k_values,
         {
             name: tuple(None if isnan(v) else v for v in row)
             for name, row in zip(columns, rows.tolist())

@@ -25,8 +25,7 @@ from .samples import (_BLOCK_ROWS, CensoredSample, SortedCensoredSample, _finite
 
 def _as_prob(u, lo_open, name="u"):
     arr = np.asarray(u, dtype=float)
-    low_bad = (arr <= 0.0) if lo_open else (arr < 0.0)
-    if np.any(low_bad) or np.any(arr >= 1.0) or not np.all(np.isfinite(arr)):
+    if not np.all(((arr > 0.0) if lo_open else (arr >= 0.0)) & (arr < 1.0)):  # NaN fails both
         lo = "(0, 1)" if lo_open else "[0, 1)"
         raise DomainError(f"{name} must lie in {lo}")
     return arr

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SimulationError, TooFewPoints, UnknownKernel
-from .estimators import _columns, _tail_path
+from .estimators import _columns, _k_grid, _tail_path
 from .kernels import (
     BUILTIN_KERNEL_NAMES,
     Kernel,
@@ -40,15 +40,15 @@ _CENSOR_FAMILIES = {"frechet": (Frechet, ("gamma2",))}
 class SimulationConfig:
     """Full description of one Monte Carlo experiment.
 
-    ``kernels`` holds built-in kernel names and verified custom
-    :class:`~censtail.kernels.Kernel` objects (each adds a
-    ``kernel_<name>`` column next to the plain ``estimators``); a built-in
-    given as an object is stored by name.  ``workers`` is a hint only:
-    results are identical for any worker count, run in at most min(workers,
-    replications, usable CPUs) processes by the rule of ``_processes`` in
-    :mod:`censtail.samples`.  A custom kernel run in more than one process
-    must be picklable (module-level functions, not lambdas), and only
-    built-in kernels round-trip through JSON.
+    ``k_values`` is a nonempty k grid under the rule of :func:`~censtail.estimate_path`,
+    read one k at a time and stored as a tuple of ints.  ``kernels`` holds built-in
+    kernel names and verified custom :class:`~censtail.kernels.Kernel` objects (each
+    adds a ``kernel_<name>`` column next to the plain ``estimators``); a built-in given
+    as an object is stored by name.  ``workers`` is a hint only: results are identical
+    for any worker count, run in at most min(workers, replications, usable CPUs)
+    processes by the rule of ``_processes`` in :mod:`censtail.samples`.  A custom
+    kernel run in more than one process must be picklable (module-level functions,
+    not lambdas), and only built-in kernels round-trip through JSON.
     """
 
     model: ModelSpec
@@ -73,16 +73,10 @@ class SimulationConfig:
                 f"replications must be >= 1, got {self.replications}",
                 field="replications",
             )
-        k_values = tuple(_integer(k, "k_values", ConfigError, field="k_values")
-                         for k in _listed(self.k_values, "k_values"))
+        k_values = _k_grid(_listed(self.k_values, "k_values"), self.n, ConfigError,
+                           field="k_values")
         if not k_values:
             raise ConfigError("k_values must be nonempty", field="k_values")
-        if any(b <= a for a, b in zip(k_values, k_values[1:])):
-            raise ConfigError("k_values must be strictly ascending", field="k_values")
-        if k_values[0] < 1 or k_values[-1] > self.n - 1:
-            raise ConfigError(
-                f"k_values must lie within [1, {self.n - 1}]", field="k_values"
-            )
         estimators = tuple(str(e) for e in _listed(self.estimators, "estimators"))
         kernels = tuple(_config_kernel(entry) for entry in _listed(self.kernels, "kernels"))
         _columns(estimators, [getattr(entry, "name", entry) for entry in kernels])
@@ -151,11 +145,11 @@ class SimulationConfig:
 
 
 def _listed(value, field):
-    """The entries of ``value`` as a tuple; a string, a dict or a value
+    """An iterator over the entries of ``value``; a string, a dict or a value
     that is not iterable is a ConfigError on ``field``."""
     if not isinstance(value, (str, bytes, dict)):
         try:
-            return tuple(value)
+            return iter(value)
         except TypeError:
             pass
     raise ConfigError(f"{field} must be a list, got {value!r}", field=field)
@@ -237,13 +231,12 @@ def _parse_k(doc, n):
             raise ConfigError("k_grid.step must be a positive integer", field="k_grid.step")
         if hi < lo:
             raise ConfigError("k_grid.max must be >= k_grid.min", field="k_grid.max")
-        # checked before the grid is expanded, which a huge bound would not survive
         if lo < 1:
             raise ConfigError(f"k_grid.min must be >= 1, got {lo}", field="k_grid.min")
         if hi > n - 1:
             raise ConfigError(f"k_grid.max must be <= {n - 1} (n = {n}), got {hi}",
                               field="k_grid.max")
-        return tuple(range(lo, hi + 1, step))
+        return range(lo, hi + 1, step)
     raise ConfigError("either k_values or k_grid is required", field="k_values")
 
 

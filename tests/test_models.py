@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -82,6 +83,30 @@ class TestPareto:
 
     def test_support_starts_at_one(self):
         assert Pareto(2.0).quantile(0.0) == 1.0
+
+
+_TINY, _BELOW_ONE = 2.0**-1074, 1.0 - 2.0**-53
+
+
+@pytest.mark.parametrize("u, closed_ok, open_ok", [
+    (0.0, True, False), (-0.0, True, False), (1.0, False, False),
+    (_BELOW_ONE, True, True), (_TINY, True, True),
+    (math.nan, False, False), (math.inf, False, False), (-math.inf, False, False),
+    ([], True, True), ([0.5, math.nan], False, False), ([0.5, 1.0], False, False),
+    ([0.2, -0.1], False, False), ([0.0, 0.5], True, False), ([_TINY, 0.5], True, True),
+    ([-0.0, 0.1], True, False), ([math.inf, 0.1], False, False),
+])
+def test_quantile_domain(u, closed_ok, open_ok):
+    # Burr and Pareto take u in [0, 1), Frechet u in (0, 1); NaN and +-inf in neither
+    for model, ok, interval in ((Burr(0.4, 0.25), closed_ok, "[0, 1)"),
+                                (Pareto(1.0), closed_ok, "[0, 1)"),
+                                (Frechet(0.6), open_ok, "(0, 1)")):
+        if ok:
+            got = np.asarray(model.quantile(u))
+            assert got.shape == np.shape(u) and np.all(np.isfinite(got))
+        else:
+            with pytest.raises(DomainError, match=re.escape(f"u must lie in {interval}")):
+                model.quantile(u)
 
 
 class TestGamma2FromP:

@@ -4,15 +4,19 @@ import math
 import multiprocessing
 import os
 import threading
+import tracemalloc
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from censtail import (
     BIWEIGHT,
     Burr,
+    CensoredSample,
     Frechet,
     Kernel,
     ModelSpec,
@@ -29,7 +33,7 @@ from censtail import (
     top_order_statistics,
 )
 from censtail import models, samples, simulate
-from censtail.errors import ConfigError, SimulationError, TooFewPoints
+from censtail.errors import ConfigError, InvalidK, SimulationError, TooFewPoints
 from censtail.estimators import _tail_path
 from censtail.simulate import _collect_paths, _replicate_paths
 from reference_impl import whole_sample
@@ -89,6 +93,46 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             small_config(**{field: value})
         assert err.value.field == field
+
+    def test_a_grid_past_n_is_refused_before_it_is_built(self):
+        # the whole grid was built first: 48.6 MB and 2 s for this one
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError) as err:
+                SimulationConfig(model=ModelSpec(loss=Pareto(1.0)), n=100, replications=1,
+                                 k_values=range(1, 10**6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err.value.field == "k_values"
+        assert peak < 10**6, peak
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(2, 40), ascending=st.booleans(),
+           ks=st.lists(st.integers(-1, 24), min_size=1, max_size=6),
+           kind=st.sampled_from([int, np.int64, np.int32]),
+           odd=st.none() | st.tuples(st.integers(0, 6), st.booleans() | st.floats(-1, 24)))
+    def test_estimate_path_and_config_share_the_grid_rule(self, n, ascending, ks, kind, odd):
+        # ints or numpy ints, ascending or not, inside or past [1, n - 1], and
+        # now and then a bool or a float among them
+        grid = [kind(k) for k in (sorted(set(ks)) if ascending else ks)]
+        if odd is not None:
+            grid.insert(*odd)
+        sample = CensoredSample(np.arange(1.0, n + 1.0), np.ones(n, dtype=int))
+        try:
+            path = estimate_path(sample, grid, ("hill",))
+        except InvalidK:
+            path = None
+        try:
+            config = SimulationConfig(model=ModelSpec(loss=Pareto(1.0)), n=n,
+                                      replications=1, k_values=grid)
+        except ConfigError as exc:
+            assert exc.field == "k_values"
+            config = None
+        assert (path is None) == (config is None), (path, config)
+        if path is not None:
+            assert path.k_values == config.k_values
+            assert all(type(k) is int for k in config.k_values)
 
     @pytest.mark.parametrize("field, value", [
         ("model", Burr(0.4, 0.25)), ("n", 1), ("k_values", ()),
