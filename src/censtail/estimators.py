@@ -89,17 +89,15 @@ def _columns(estimators, kernel_names):
     return columns
 
 
-def _check_kernel(kernel):
+def _check_kernel(kernel, error=KernelAxiomViolation, **fields):
+    """``kernel`` if it is a verified :class:`Kernel`; anything else raises
+    ``error`` with ``fields``."""
     if not isinstance(kernel, Kernel):
-        raise KernelAxiomViolation(
-            f"expected a Kernel, got {kernel!r}; "
-            "make one with censtail.kernels.builtin_kernel or custom_kernel"
-        )
+        raise error(f"expected a Kernel, got {kernel!r}; "
+                    "make one with censtail.kernels.builtin_kernel or custom_kernel", **fields)
     if not kernel.verified:
-        raise KernelAxiomViolation(
-            f"kernel {kernel.name!r} has not passed the axiom checks; "
-            "use a built-in kernel or censtail.kernels.custom_kernel"
-        )
+        raise error(f"kernel {kernel.name!r} has not passed the axiom checks; "
+                    "use a built-in kernel or censtail.kernels.custom_kernel", **fields)
     return kernel
 
 
@@ -146,31 +144,28 @@ def _top_view(sample, lo):
     return top.z, top.delta
 
 
-def _view_survival(z, hazard, with_km):
-    """Nelson-Aalen and, if ``with_km``, Kaplan-Meier survival at each order
-    statistic of a top view, each up to a constant factor; None in place of
-    Kaplan-Meier otherwise.
+def _view_survival(hazard, blocks, km=False):
+    """Nelson-Aalen survival at each order statistic of a top view, or
+    Kaplan-Meier with ``km``, up to a constant factor.
 
-    ``hazard`` is delta / i with i the rank from the top.  Nelson-Aalen at
-    z is exp(-H) with H the hazards of the tie blocks strictly below z, so
-    it is proportional to exp of the hazards from z's block upwards;
-    Kaplan-Meier multiplies the factors 1 - hazard of the blocks at or
-    below z, so it is proportional to exp of minus the log factors above
-    z's block.  Both sums run from the top (:func:`_suffix_sums`), which
-    makes every value independent of how far down the view reaches.  The
-    zero factor of an uncensored maximum is left out of the sums and
+    ``hazard`` is delta / i with i the rank from the top, and ``blocks`` the
+    view's tie blocks, :func:`~censtail.samples._tie_blocks`.  Nelson-Aalen
+    at z is exp(-H) with H the hazards of the tie blocks strictly below z,
+    so it is proportional to exp of the hazards from z's block upwards;
+    Kaplan-Meier multiplies the factors 1 - hazard of the blocks at or below
+    z, so it is proportional to exp of minus the log factors above z's
+    block.  The sums run from the top (:func:`_suffix_sums`), which makes
+    every value independent of how far down the view reaches.  The zero
+    factor of an uncensored maximum is left out of the Kaplan-Meier sums and
     zeroes the top block instead.
     """
-    start, end = _tie_blocks(z)
-    size = end - start
-    if not with_km:
-        return np.repeat(np.exp(_suffix_sums(hazard)[start]), size), None
-    log_factor = np.append(np.log1p(-hazard[:-1]), 0.0)
-    na_sums, km_sums = _suffix_sums(np.stack((hazard, log_factor)))
-    km = np.exp(-km_sums[end])
+    start, end = blocks
+    if not km:
+        return np.repeat(np.exp(_suffix_sums(hazard)[start]), end - start)
+    values = np.exp(-_suffix_sums(np.append(np.log1p(-hazard[:-1]), 0.0))[end])
     if hazard[-1]:
-        km[-1] = 0.0
-    return np.repeat(np.exp(na_sums[start]), size), np.repeat(km, size)
+        values[-1] = 0.0
+    return np.repeat(values, end - start)
 
 
 def _tail_path(sample, k_list, names=(), kernels=()):
@@ -199,12 +194,13 @@ def _tail_path(sample, k_list, names=(), kernels=()):
 
     These are the defining sums of log(Z_l / Z_t) rearranged by summation
     by parts, so every term is nonnegative and no two large sums cancel.
-    KM and NA enter only as ratios, so :func:`_view_survival` gives them up
-    to a factor, from the view alone; KM is computed only when ``worms`` is
-    requested, as no other row reads it.  As every sum runs from the top down,
-    no cell depends on the rest of the grid: each equals its scalar
-    estimator bit for bit.  Kernels without ``g_prime_coefficients`` are
-    evaluated one k at a time instead.
+    KM and NA enter only as ratios, so :func:`_view_survival` gives each up
+    to a factor, from the view and its tie blocks alone.  The tie blocks are
+    found once; KM is computed only when ``worms`` is requested and NA only
+    when ``mns`` or a kernel is, as no other row reads them.  As every sum
+    runs from the top down, no cell depends on the rest of the grid: each
+    equals its scalar estimator bit for bit.  Kernels without
+    ``g_prime_coefficients`` are evaluated one k at a time instead.
     """
     n = sample.n
     k = np.asarray(k_list, dtype=np.int64)
@@ -227,13 +223,15 @@ def _tail_path(sample, k_list, names=(), kernels=()):
     entries = [INDICATOR if name == "mns" else name for name in names] + list(kernels)
     kerns = {e for e in entries if isinstance(e, Kernel)}
     if "worms" in wanted or kerns:
-        na, km = _view_survival(z, hazard, "worms" in wanted)
+        blocks = _tie_blocks(z)
     if "worms" in wanted:
+        km = _view_survival(hazard, blocks, km=True)
         km_t = km[t]
         values["worms"] = np.divide(_suffix_sums(km[:-1] * spacing)[t], km_t,
                                     out=np.full(km_t.shape, np.nan), where=km_t != 0)
     if kerns:
-        values.update(_kernel_rows(kerns, t, hazard, logz, spacing, na))
+        values.update(_kernel_rows(kerns, t, hazard, logz, spacing,
+                                   _view_survival(hazard, blocks)))
     rows = [values[e] for e in entries]
     return np.array(rows, dtype=float).reshape(len(rows), k.size)
 

@@ -271,10 +271,11 @@ def read_csv(source, *, header=None, top=None):
     least twice ``_PART_BYTES`` is cut at line ends into parts that are
     parsed at the same time, one process each (:func:`_read_path_fast`).
 
-    With ``top``, only ``top_order_statistics(sample, top)`` is kept.  A
-    path is then never held whole: each block is merged into the largest
-    rows so far as it is read, so each part takes about 2 ``top`` rows plus
-    a block, however long the file.  Every row is still parsed and checked.
+    With ``top``, only ``top_order_statistics(sample, top)`` is kept.  The
+    input is then never held whole, by either reader: each block of rows is
+    merged into the largest rows so far as it is read, so each part takes
+    about 2 ``top`` rows plus a block, however long the file.  Every row is
+    still parsed and checked.
 
     Each call logs one debug event to the ``censtail`` logger: the path
     taken (``fast`` or ``scanner``), why the scanner read a file, and the
@@ -323,8 +324,7 @@ def read_csv(source, *, header=None, top=None):
             notes["reason"] = "a text stream"
         if read is None:
             notes["path"] = "scanner"
-            sample = _scan_csv(source, header)
-            read = sample if top is None else TopRows(sample.n, top_order_statistics(sample, top))
+            read = _scan_csv(source, header, top)
         notes["rows"] = read.n
         return read
     finally:
@@ -538,14 +538,16 @@ def _line_ends(path, start=0, stop=None, chunk=1 << 20):
     return ends + (run > 1), int(max(longest, run)) - 1
 
 
-def _scan_csv(source, header):
-    """The row scanner: csv.reader and ``float`` on each row, each row
-    checked as it is read, as :class:`CensoredSample` checks a sample."""
+def _scan_csv(source, header, top=None):
+    """What :func:`read_csv` returns, read by the row scanner: csv.reader
+    and ``float`` on each row, each row checked as it is read, as
+    :class:`CensoredSample` checks a sample.  Every ``_BLOCK_ROWS`` rows the
+    checked rows go into a ``_RunningTop(top)``, as :func:`_parse_part`'s
+    blocks do, so with ``top`` it holds about 2 ``top`` rows plus a block."""
     owned = isinstance(source, (str, os.PathLike))
     stream = open(source, "r", encoding="utf-8-sig", newline="") if owned else source
+    kept, values, deltas = _RunningTop(top), [], []
     try:
-        values = []
-        deltas = []
         first_data_row = True
         for lineno, row in enumerate(_csv_rows(stream), start=1):
             if not row:
@@ -555,9 +557,7 @@ def _scan_csv(source, header):
                 if _is_header(row, header):
                     continue
             if len(row) != 2:
-                raise ParseError(
-                    f"row {lineno}: expected 2 fields, got {len(row)}", row=lineno
-                )
+                raise ParseError(f"row {lineno}: expected 2 fields, got {len(row)}", row=lineno)
             try:
                 value = float(row[0])
             except ValueError:
@@ -581,12 +581,18 @@ def _scan_csv(source, header):
                 )
             values.append(value)
             deltas.append(int(delta))
+            if len(values) == _BLOCK_ROWS:
+                kept.add(np.array(values), np.array(deltas, dtype=np.int8))
+                values, deltas = [], []
     finally:
         if owned:
             stream.close()
-    if not values:
+    if values:
+        kept.add(np.array(values), np.array(deltas, dtype=np.int8))
+    if not kept.n:
         raise EmptySample("CSV file contains no data rows")
-    return _unchecked(CensoredSample, np.array(values), np.array(deltas, dtype=np.int8))
+    sample = _unchecked(CensoredSample, *kept.rows())
+    return sample if top is None else TopRows(kept.n, sample)
 
 
 def _csv_rows(stream):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SimulationError, TooFewPoints, UnknownKernel
-from .estimators import _columns, _k_grid, _tail_path
+from .estimators import _check_kernel, _columns, _k_grid, _tail_path
 from .kernels import (
     BUILTIN_KERNEL_NAMES,
     Kernel,
@@ -160,13 +160,7 @@ def _config_kernel(entry):
     if isinstance(entry, Kernel):
         if entry.name in BUILTIN_KERNEL_NAMES and builtin_kernel(entry.name) is entry:
             return entry.name
-        if not entry.verified:
-            raise ConfigError(
-                f"kernel {entry.name!r} has not passed the axiom checks; "
-                "build it with censtail.kernels.custom_kernel",
-                field="kernels",
-            )
-        return entry
+        return _check_kernel(entry, ConfigError, field="kernels")
     try:
         return builtin_kernel(str(entry)).name
     except UnknownKernel as exc:

@@ -61,24 +61,25 @@ class StepCurve:
         return out
 
 
-def _curve(sample, with_km):
-    """The Kaplan-Meier curve if ``with_km``, else the Nelson-Aalen curve.
+def _curve(sample, km):
+    """The Kaplan-Meier curve if ``km``, else the Nelson-Aalen curve.
 
-    :func:`~censtail.estimators._view_survival` gives both up to a factor,
-    fixed by a censored row at 0, below the sample, where both are 1.  Steps
-    are at the tie blocks holding an uncensored observation, not where the
-    values change: the blocked sums are not flat to the bit across blocks.
+    :func:`~censtail.estimators._view_survival` gives it up to a factor,
+    fixed by a censored row at 0, below the sample, where the curve is 1.
+    Steps are at the tie blocks holding an uncensored observation, not where
+    the values change: the blocked sums are not flat to the bit across
+    blocks.
     """
     z, delta = _top_view(sample, 0)
     z, delta = np.append(0.0, z), np.append(0, delta)
-    start, end = _tie_blocks(z)
-    na, km = _view_survival(z, delta / np.arange(z.size, 0, -1), with_km)
-    if with_km:  # the value at a block includes the block's own factors
-        values = km[end - 1] / km[0]
+    start, end = blocks = _tie_blocks(z)
+    values = _view_survival(delta / np.arange(z.size, 0, -1), blocks, km)
+    if km:  # the value at a block includes the block's own factors
+        values = values[end - 1] / values[0]
     else:  # the value after a block is the next block's, or the empty sum's
-        values = np.append(na, 1.0)[end] / na[0]
+        values = np.append(values, 1.0)[end] / values[0]
     steps = delta[start] == 1  # uncensored rows lead their tie block
-    return StepCurve(z[start][steps], values[steps], include_at_jump=with_km)
+    return StepCurve(z[start][steps], values[steps], include_at_jump=km)
 
 
 def kaplan_meier_curve(sample):

@@ -369,23 +369,29 @@ class TestSimulate:
 
     def test_workers_env_var_zero_names_workers(self, tmp_path, capsys, monkeypatch):
         config = small_sim_config(tmp_path)
-        monkeypatch.setenv("CENS_TAIL_THREADS", "0")
-        code = main(["simulate", "--config", str(config),
-                     "--output", str(tmp_path / "o.csv")])
-        assert code == 1
-        assert capsys.readouterr().err == "error: workers must be >= 1, got 0\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+        for value, err in (("0", "error: workers must be >= 1, got 0\n"),
+                           ("abc", "error: CENS_TAIL_THREADS must be an integer, got 'abc'\n")):
+            monkeypatch.setenv("CENS_TAIL_THREADS", value)
+            code = main(["simulate", "--config", str(config),
+                         "--output", str(tmp_path / "o.csv")])
+            assert code == 1
+            assert capsys.readouterr().err == err
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
-    @pytest.mark.parametrize("overrides, field", [
-        ({"estimators": None}, "estimators"),
-        ({"kernels": None}, "kernels"),
-        ({"estimators": 5}, "estimators"),
-        ({"k_grid": {"min": 1, "max": 10, "step": True}}, "k_grid.step"),
-        ({"k_grid": {"min": 1, "max": 10**15}}, "k_grid.max"),
-        ({"model": {"loss": {"family": "pareto", "gamma1": 10**400}}}, "model.loss.gamma1"),
+    @pytest.mark.parametrize("overrides, field, args", [
+        ({"estimators": None}, "estimators", []),
+        ({"kernels": None}, "kernels", []),
+        ({"estimators": 5}, "estimators", []),
+        ({"k_grid": {"min": 1, "max": 10, "step": True}}, "k_grid.step", []),
+        ({"k_grid": {"min": 1, "max": 10**15}}, "k_grid.max", []),
+        ({"model": {"loss": {"family": "pareto", "gamma1": 10**400}}}, "model.loss.gamma1", []),
+        ({"master_seed": -1}, "master_seed", []),
+        ({"master_seed": 2**64}, "master_seed", []),
+        ({}, "master_seed", ["--seed", "-1"]),
     ], ids=["null-estimators", "null-kernels", "int-estimators", "bool-step",
-            "huge-grid", "huge-int-gamma1"])
-    def test_bad_config_is_a_config_error(self, tmp_path, capsys, overrides, field):
+            "huge-grid", "huge-int-gamma1", "negative-seed", "seed-past-64-bits",
+            "negative-seed-option"])
+    def test_bad_config_is_a_config_error(self, tmp_path, capsys, overrides, field, args):
         # each of these exited 3, except the bool step, which ran as step 1
         config = small_sim_config(tmp_path, **overrides)
         if "k_grid" in overrides:  # k_values would take precedence
@@ -393,7 +399,7 @@ class TestSimulate:
             del doc["k_values"]
             config.write_text(json.dumps(doc), encoding="utf-8")
         code = main(["simulate", "--config", str(config),
-                     "--output", str(tmp_path / "o.csv")])
+                     "--output", str(tmp_path / "o.csv"), *args])
         assert code == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and field in err[0]

@@ -1,6 +1,7 @@
 import csv
 import io
 import logging
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -491,17 +492,40 @@ class TestReadCsvTop:
                                                        block):
         # few distinct values, so tie blocks of mixed indicators straddle every cut
         monkeypatch.setattr(samples, "_BLOCK_ROWS", block)
-        path = tmp_path / "ties.csv"
         z = rng.integers(1, 9, 60) / 4.0
         delta = rng.integers(0, 2, 60)
-        path.write_text("value,delta\n" + "".join(f"{v!r},{d}\n" for v, d in zip(z.tolist(), delta.tolist())))
-        whole = read_csv(path)
-        for m in (1, 2, 5, 17, 30, 59, 60, 61, 1000):
-            got = read_csv(path, top=m)
-            want = top_order_statistics(whole, m)
-            assert got.n == 60
-            assert got.sample.z.tobytes() == want.z.tobytes()
-            assert got.sample.delta.tobytes() == want.delta.tobytes()
+        text = "value,delta\n" + "".join(f"{v!r},{d}\n" for v, d in zip(z.tolist(), delta.tolist()))
+        path, quoted = tmp_path / "ties.csv", tmp_path / "quoted.csv"
+        path.write_text(text)
+        quoted.write_text(_quoted(text))
+        assert samples._read_path_fast(quoted, None) is None  # the scanner reads it
+        # a path, a text stream and a quoted path: the last two go through the scanner
+        for read in (lambda **kw: read_csv(path, **kw),
+                     lambda **kw: read_csv(io.StringIO(text), **kw),
+                     lambda **kw: read_csv(quoted, **kw)):
+            whole = read()
+            for m in (1, 2, 5, 17, 30, 59, 60, 61, 1000):
+                got = read(top=m)
+                want = top_order_statistics(whole, m)
+                assert got.n == 60
+                assert got.sample.z.tobytes() == want.z.tobytes()
+                assert got.sample.delta.tobytes() == want.delta.tobytes()
+
+    def test_the_scanner_keeps_only_a_running_top(self, monkeypatch):
+        # 50 000 quoted rows in blocks of 500: the whole sample as Python
+        # floats in lists would take about 2.4 MB
+        monkeypatch.setattr(samples, "_BLOCK_ROWS", 500)
+        n = 50_000
+        stream = io.StringIO(_quoted("".join(f"{i + 0.5!r},{i % 2}\n" for i in range(n))))
+        tracemalloc.start()
+        try:
+            got = read_csv(stream, top=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.n == n
+        _assert_rows(got.sample, [n - 4.5, n - 3.5, n - 2.5, n - 1.5, n - 0.5], [1, 0, 1, 0, 1])
+        assert peak < 500_000, peak
 
     def test_stream_and_fallback_keep_the_same_top(self, tmp_path):
         text = 'value,delta\n3,1\n"1",0\n3,0\n2,1\n3,1\n'
@@ -535,6 +559,12 @@ class TestReadCsvTop:
         for source in (path, io.StringIO("1.5,1\n2.0,0\n")):
             with pytest.raises(TypeError, match=f"top must be an integer, got {top}"):
                 read_csv(source, top=top)
+
+
+def _quoted(text):
+    """``text`` with every field of every line in double quotes."""
+    return "".join(",".join(f'"{field}"' for field in line.split(",")) + "\n"
+                   for line in text.splitlines())
 
 
 def _parted(monkeypatch, path, parts):
@@ -812,12 +842,13 @@ class TestWriteCsv:
         assert render_csv(Table(("k", "est"), ())) == "k,est\n"
 
     def test_single_row(self):
-        text = render_csv(Table(("k", "est"), ((10, 0.4),)))
+        text = render_csv(Table(("k", "est", "yes", "no"), ((10, 0.4, True, np.bool_(False)),)))
         lines = text.splitlines()
-        assert lines[0] == "k,est"
-        k, est = lines[1].split(",")
+        assert lines[0] == "k,est,yes,no"
+        k, est, yes, no = lines[1].split(",")
         assert k == "10"
         assert float(est) == 0.4
+        assert (yes, no) == ("1", "0")
 
     def test_none_is_empty_cell(self):
         text = render_csv(Table(("k", "est"), ((10, None),)))

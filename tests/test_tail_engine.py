@@ -24,12 +24,15 @@ from censtail import (
     efg,
     estimate_path,
     hill,
+    kaplan_meier_curve,
     kernel_estimator,
     mns,
+    nelson_aalen_curve,
     p_hat,
     sort_with_concomitants,
     worms,
 )
+from censtail import estimators, survival
 from censtail.errors import DegenerateP, ZeroSurvivalAtThreshold
 from censtail.estimators import (
     _SUM_BLOCK,
@@ -39,6 +42,7 @@ from censtail.estimators import (
     _top_view,
     _view_survival,
 )
+from censtail.samples import _tie_blocks
 from reference_impl import (
     _TailArrays,
     blocked_suffix_sums,
@@ -234,7 +238,8 @@ def test_view_survival_matches_curve_ratios():
             start = n - z.size
             assert start <= lo and z[0] == sample.z[lo]
             assert start == 0 or sample.z[start - 1] < z[0]
-            na, km = _view_survival(z, delta / np.arange(z.size, 0, -1), True)
+            hazard, blocks = delta / np.arange(z.size, 0, -1), _tie_blocks(z)
+            na, km = _view_survival(hazard, blocks), _view_survival(hazard, blocks, km=True)
             want_na = na_curve[start:]
             assert np.allclose(na[None, :] / na[:, None], want_na[None, :] / want_na[:, None],
                                rtol=1e-13, atol=0)
@@ -244,6 +249,35 @@ def test_view_survival_matches_curve_ratios():
             ratio = km[None, positive] / km[positive, None]
             want = want_km[None, positive] / want_km[positive, None]
             assert np.allclose(ratio, want, rtol=1e-13, atol=0)
+
+
+def test_each_curve_sums_only_its_own_row(monkeypatch):
+    """Kaplan-Meier, Nelson-Aalen and a worms-only path each sum 1-d rows
+    only, and find the tie blocks once."""
+    shapes, blocks = [], []
+
+    def suffix_sums(x):
+        shapes.append(x.shape)
+        return _suffix_sums(x)
+
+    def tie_blocks(z):
+        blocks.append(z.size)
+        return _tie_blocks(z)
+
+    monkeypatch.setattr(estimators, "_suffix_sums", suffix_sums)
+    for module in (estimators, survival):
+        monkeypatch.setattr(module, "_tie_blocks", tie_blocks)
+    rng = np.random.default_rng(27)
+    n = 3 * _SUM_BLOCK
+    sample = CensoredSample(np.round(rng.pareto(1.0, n) + 1.0, 1),
+                            (rng.random(n) < 0.6).astype(int))
+    for call in (kaplan_meier_curve, nelson_aalen_curve,
+                 lambda s: estimate_path(s, range(1, n), ("worms",))):
+        shapes.clear()
+        blocks.clear()
+        call(sample)
+        assert len(blocks) == 1, call
+        assert shapes and all(len(shape) == 1 for shape in shapes), (call, shapes)
 
 
 def test_large_tie_heavy_sample_matches_reference():
