@@ -14,6 +14,7 @@ only on its position in the stream.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,6 +175,42 @@ class RngStream:
         key = (self.stream_index << 64) | self.master_seed
         return np.random.Generator(np.random.Philox(key=key))
 
+    def _words(self, start, size):
+        """The raw 64-bit words at positions [start, start + size) of the
+        stream, those ``generator().bit_generator`` gives after ``start``
+        words, read from this thread's kept Philox (:class:`_KeptPhilox`).
+
+        The Philox is re-keyed first: counter ``start // 4`` (a counter
+        step makes four words), key [master_seed, stream_index] and an empty
+        buffer, and then the ``start % 4`` words before ``start`` are read
+        and dropped.  So no state is carried from one call to the next, and
+        the words do not depend on what was read before, in this thread, in
+        another or in the process this one was forked from.
+        """
+        kept = _KEPT
+        kept.counter[0] = start // 4
+        kept.key[:] = self.master_seed, self.stream_index
+        kept.bits.state = kept.state
+        if start % 4:
+            kept.bits.random_raw(start % 4)
+        return kept.bits.random_raw(size)
+
+
+class _KeptPhilox(threading.local):
+    """A Philox for each thread, made on the thread's first use so that two
+    threads never share one, and the state dict that re-keys it.  The
+    dict's buffer is empty (``buffer_pos`` 4, ``has_uint32`` 0,
+    ``uinteger`` 0) and stays so; :meth:`RngStream._words` sets its
+    ``counter`` and ``key`` arrays."""
+
+    def __init__(self):
+        self.bits = np.random.Philox(0)
+        self.state = self.bits.state
+        self.counter, self.key = self.state["state"]["counter"], self.state["state"]["key"]
+
+
+_KEPT = _KeptPhilox()
+
 
 _ZERO_DRAW = 2.0**-53  # what a draw of exactly 0 counts as: the smallest positive draw
 
@@ -217,23 +254,18 @@ def _word_blocks(rng, n, censored):
     of blocks of at most ``_BLOCK_ROWS``; censor is None for complete data.
 
     The loss words are positions [0, n) of the stream and the censor words
-    positions [n, 2n).  One block reads both runs in one call.  Otherwise
-    a second generator on the same stream reads the censor words in step
-    with the loss ones: ``advance`` moves it by blocks of four words, and
-    the n % 4 words left are read and discarded.
+    positions [n, 2n).  One block reads both runs in one call.  Every block
+    is read by ``rng._words`` at its own position, which re-keys this
+    thread's kept Philox first, so iterations alive at once, in one thread
+    or in several, each get their own stream's words.
     """
-    bits = rng.generator().bit_generator
     if n <= _BLOCK_ROWS:
-        words = bits.random_raw(2 * n if censored else n)
+        words = rng._words(0, 2 * n if censored else n)
         yield words[:n], words[n:] if censored else None
         return
-    if censored:
-        censor_bits = rng.generator().bit_generator
-        censor_bits.advance(n // 4)
-        censor_bits.random_raw(n % 4)
     for start in range(0, n, _BLOCK_ROWS):
         size = min(_BLOCK_ROWS, n - start)
-        yield bits.random_raw(size), censor_bits.random_raw(size) if censored else None
+        yield rng._words(start, size), rng._words(n + start, size) if censored else None
 
 
 def _uniforms(words):

@@ -14,12 +14,11 @@ import io
 import itertools
 import logging
 import math
-import multiprocessing
 import os
+import sys
 import threading
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -415,11 +414,20 @@ def _processes(wanted):
     one per usable CPU, and one unless processes start by ``fork`` (a
     spawned interpreter costs more than most jobs save), this process runs
     one thread (a fork copies no other thread, nor can it release a lock
-    one holds) and it may have children."""
+    one holds) and it may have children.  With no start method set, Linux
+    starts them by ``fork`` wherever it is offered, whatever the default
+    (``forkserver`` from Python 3.14); elsewhere the platform's default
+    decides.  ``multiprocessing`` is imported only for two jobs or more, so
+    a one-process run never loads it."""
+    if wanted < 2:
+        return 1
+    import multiprocessing
+
     method = multiprocessing.get_start_method(allow_none=True)
     if method is None:
-        method = multiprocessing.get_all_start_methods()[0]  # the platform's default
-    if (wanted < 2 or method != "fork" or threading.active_count() > 1
+        offered = multiprocessing.get_all_start_methods()
+        method = "fork" if sys.platform == "linux" and "fork" in offered else offered[0]
+    if (method != "fork" or threading.active_count() > 1
             or multiprocessing.current_process().daemon):
         return 1
     return min(wanted, _usable_cpus())
@@ -432,8 +440,12 @@ def _in_processes(fn, jobs):
     same time, and every worker is joined before this returns.  Where the
     pool cannot start or breaks (``OSError``, or ``RuntimeError`` such as
     BrokenProcessPool), every job runs here, so a job that raises one of
-    those runs here again and raises."""
+    those runs here again and raises.  The pool is imported only for two
+    jobs or more."""
     if len(jobs) > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         try:
             with ProcessPoolExecutor(len(jobs) - 1,
                                      mp_context=multiprocessing.get_context("fork")) as pool:

@@ -1,5 +1,7 @@
 import math
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -297,6 +299,9 @@ class _Stream:
     def generator(self):
         return _Generator(self.words)
 
+    def _words(self, start, size):  # the sampler's seam, RngStream._words
+        return self.generator().bit_generator.random_raw(start + size)[start:]
+
 
 class _WordStream(_Stream):
     """A ``_Stream`` of the raw ``words`` given, the 11 low bits that the
@@ -313,9 +318,6 @@ class _Generator:
     def __init__(self, words):
         self.words = words
         self.position, self.bit_generator = 0, self
-
-    def advance(self, blocks):  # as Philox counts: four draws a block
-        self.position += 4 * blocks
 
     def random_raw(self, size):
         start, self.position = self.position, self.position + size
@@ -518,3 +520,103 @@ class TestSortedTop:
         words[[0, n - 1]] = [0, 1 << 63]
         got, count = self.top(monkeypatch, words, 7)
         assert (got.z.size, count) == (min(n, self.M), 0)
+
+
+def _philox_words(rng, count):
+    """The first ``count`` words of a fresh ``Philox(key=...)`` on the stream."""
+    return np.random.Philox(key=(rng.stream_index << 64) | rng.master_seed).random_raw(count)
+
+
+def _read(blocks):
+    """The loss and the censor words of ``_word_blocks`` pairs, each run
+    joined (censor None for complete data)."""
+    loss, censor = zip(*blocks)
+    return np.concatenate(loss), None if censor[0] is None else np.concatenate(censor)
+
+
+def _assert_stream_words(rng, n, censored, got):
+    want = _philox_words(rng, 2 * n)
+    loss, censor = got
+    assert loss.tobytes() == want[:n].tobytes()
+    if censored:
+        assert censor.tobytes() == want[n:].tobytes()
+    else:
+        assert censor is None
+
+
+EDGE_KEYS = [0, 1, 2**64 - 1]
+
+
+class TestKeptPhilox:
+    """The sampler reads every block from a Philox kept for each thread and
+    re-keyed first (``RngStream._words``): its words are a fresh
+    ``Philox(key=...)``'s, whatever was read before, in whichever thread."""
+
+    @pytest.mark.parametrize("index", EDGE_KEYS)
+    @pytest.mark.parametrize("seed", EDGE_KEYS)
+    def test_edge_keys_give_the_words_of_a_fresh_philox(self, monkeypatch, seed, index):
+        monkeypatch.setattr(models, "_BLOCK_ROWS", 7)
+        rng = RngStream(seed, index)
+        want = _philox_words(rng, 40)
+        for start in range(10):  # every counter step and place in a step
+            assert rng._words(start, 30 - start).tobytes() == want[start:30].tobytes()
+        for n, censored in ((5, False), (5, True), (23, False), (23, True)):
+            _assert_stream_words(rng, n, censored, _read(models._word_blocks(rng, n, censored)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1), st.integers(1, 40),
+           st.booleans())
+    def test_random_keys_give_the_words_of_a_fresh_philox(self, seed, index, n, censored):
+        rng = RngStream(seed, index)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(models, "_BLOCK_ROWS", 7)
+            _assert_stream_words(rng, n, censored, _read(models._word_blocks(rng, n, censored)))
+
+    @pytest.mark.parametrize("block", [7, 1 << 16])
+    def test_iterations_alive_at_once_in_one_thread_get_their_own_words(self, monkeypatch,
+                                                                        block):
+        """Censored n > _BLOCK_ROWS with n % 4 = 3: the loss and censor
+        runs of three streams read block by block, in turn."""
+        monkeypatch.setattr(models, "_BLOCK_ROWS", block)
+        n = 3 * block + 3 if block < 100 else block + 3
+        streams = [RngStream(5, 1), RngStream(5, 2), RngStream(2**64 - 1, 1)]
+        got = [[] for _ in streams]
+        for pairs in zip(*(models._word_blocks(rng, n, True) for rng in streams)):
+            for rows, pair in zip(got, pairs):
+                rows.append(pair)
+        assert len(got[0]) == -(-n // block)
+        for rng, rows in zip(streams, got):
+            _assert_stream_words(rng, n, True, _read(rows))
+
+    def test_threads_sampling_at_once_get_their_own_streams(self, monkeypatch):
+        """Four threads, each drawing its own stream's top in blocks of 64
+        again and again, switching every microsecond."""
+        monkeypatch.setattr(models, "_BLOCK_ROWS", 64)
+        spec, n, m = TOP_MODELS[0], 1003, 20
+        streams = [RngStream(31, index) for index in range(4)]
+        want = [_top_sample(spec, n, m, rng) for rng in streams]
+        start, wrong = threading.Barrier(len(streams)), []
+
+        def draw(rng, serial):
+            start.wait(60)
+            for _ in range(30):
+                got = _top_sample(spec, n, m, rng)
+                if got.z.tobytes() != serial.z.tobytes() or \
+                        got.delta.tobytes() != serial.delta.tobytes():
+                    wrong.append(rng)
+
+        threads = [threading.Thread(target=draw, args=pair) for pair in zip(streams, want)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        for rng, serial in zip(streams, want):
+            assert_same_rows(serial, whole_top(spec, n, m, rng))
+

@@ -1,6 +1,8 @@
+import concurrent.futures
 import csv
 import io
 import logging
+import sys
 import tracemalloc
 import warnings
 
@@ -733,7 +735,7 @@ class TestReadCsvParts:
         path.write_bytes(data)
         _parted(monkeypatch, path, 2)
         serial = {top: samples._read_path_fast(path, None, top) for top in (None, 4)}
-        monkeypatch.setattr(samples, "ProcessPoolExecutor", FailingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FailingPool)
         for top in (None, 4):
             notes = {}
             got = samples._read_path_fast(path, None, top, notes)
@@ -760,8 +762,9 @@ class TestReadCsvParts:
 
         monkeypatch.setattr(samples, "_usable_cpus", lambda: 4)
         size = 4 * samples._PART_BYTES
-        assert samples._processes(size // samples._PART_BYTES) == (
-            4 if multiprocessing.get_all_start_methods()[0] == "fork" else 1)
+        offered = multiprocessing.get_all_start_methods()
+        forks = sys.platform == "linux" and "fork" in offered or offered[0] == "fork"
+        assert samples._processes(size // samples._PART_BYTES) == (4 if forks else 1)
         assert samples._processes((size - 3 * samples._PART_BYTES) // samples._PART_BYTES) == 1
         with monkeypatch.context() as mp:
             mp.setattr(multiprocessing, "get_start_method", lambda allow_none=False: "spawn")
@@ -776,6 +779,26 @@ class TestReadCsvParts:
 
         monkeypatch.setattr(multiprocessing, "current_process", lambda: Daemon())
         assert samples._processes(size // samples._PART_BYTES) == 1
+
+    def test_no_start_method_set_forks_on_linux_only(self, monkeypatch):
+        import multiprocessing
+
+        monkeypatch.setattr(samples, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(multiprocessing, "get_start_method", lambda allow_none=False: None)
+        for platform, offered, processes in [
+                ("linux", ["forkserver", "spawn", "fork"], 3),  # Python 3.14 on
+                ("linux", ["fork", "spawn", "forkserver"], 3),  # Python 3.13 and before
+                ("linux", ["spawn", "forkserver"], 1),
+                ("darwin", ["spawn", "fork", "forkserver"], 1),
+                ("win32", ["spawn"], 1)]:
+            monkeypatch.setattr(samples.sys, "platform", platform)
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: offered)
+            assert samples._processes(3) == processes, platform
+        monkeypatch.setattr(samples.sys, "platform", "linux")  # a method set decides
+        for method, processes in (("spawn", 1), ("forkserver", 1), ("fork", 3)):
+            monkeypatch.setattr(multiprocessing, "get_start_method",
+                                lambda allow_none=False: method)
+            assert samples._processes(3) == processes, method
 
     def test_usable_cpus_count_the_affinity_mask(self, monkeypatch):
         monkeypatch.setattr(samples.os, "sched_getaffinity", lambda pid: {0, 3, 5},

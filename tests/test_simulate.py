@@ -1,12 +1,16 @@
+import concurrent.futures
 import json
 import logging
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +31,7 @@ from censtail import (
     custom_kernel,
     estimate_path,
     normality_check,
+    render_csv,
     run_simulation,
     sample_censored,
     sort_with_concomitants,
@@ -409,7 +414,7 @@ class TestRunSimulation:
                 future.set_result(fn(*args))
                 return future
 
-        monkeypatch.setattr(samples, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         # three CPUs this process may use, on a host of 64
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 7}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
@@ -482,7 +487,10 @@ class TestRunSimulation:
         assert len(doc["results"]) == len(table.rows)
 
 
-FORK_DEFAULT = multiprocessing.get_all_start_methods()[0] == "fork"
+# processes start by fork where no start method is set: on Linux wherever
+# it is offered, elsewhere where it is the default
+FORK_DEFAULT = (sys.platform == "linux" and "fork" in multiprocessing.get_all_start_methods()
+                or multiprocessing.get_all_start_methods()[0] == "fork")
 needs_fork = pytest.mark.skipif(not FORK_DEFAULT, reason="workers start only by fork")
 
 
@@ -502,6 +510,62 @@ def _send_rows(config, conn):
 def _events(caplog):
     return [record.run_simulation for record in caplog.records
             if hasattr(record, "run_simulation")]
+
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _run_probe(script):
+    """Run ``script`` in a fresh interpreter that imports this tree's
+    censtail; its stdout, split at whitespace."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(_SRC), env.get("PYTHONPATH"))))
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=env, timeout=300)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.split()
+
+
+def w1_config(workers):
+    """The desk-scale study of the benchmark's ``sim_desk`` workload."""
+    return SimulationConfig(model=CENSORED_MODEL, n=1000, replications=200,
+                            k_values=tuple(range(20, 501, 10)),
+                            estimators=("efg", "worms", "mns"),
+                            kernels=("biweight", "triweight"), master_seed=11,
+                            workers=workers)
+
+
+_POOL_IMPORT_PROBE = """
+import sys
+import censtail
+from censtail import ModelSpec, Pareto, normality_check
+normality_check(ModelSpec(Pareto(1.0)), 2000, 20, 50, "biweight", workers=1)
+print("loaded:", *sorted(name for name in sys.modules
+                         if name.startswith(("multiprocessing", "concurrent"))))
+"""
+
+_SPAWN_PROBE = """
+import logging, multiprocessing
+multiprocessing.set_start_method("spawn")
+from censtail import Burr, Frechet, ModelSpec, SimulationConfig, run_simulation, samples
+
+events, started = [], []
+class Keep(logging.Handler):
+    def emit(self, record):
+        events.append(record.run_simulation)
+logger = logging.getLogger("censtail")
+logger.setLevel(logging.DEBUG)
+logger.addHandler(Keep())
+samples._usable_cpus = lambda: 2
+start = multiprocessing.process.BaseProcess.start
+multiprocessing.process.BaseProcess.start = lambda process: started.append(process) or start(process)
+rows = [run_simulation(SimulationConfig(
+    model=ModelSpec(loss=Burr(0.4, 0.25), censor=Frechet(3.6)), n=120, replications=12,
+    k_values=(5, 10, 20, 40), estimators=("efg", "worms"), kernels=("biweight",),
+    master_seed=99, workers=workers)).to_table().rows for workers in (2, 1)]
+print(rows[0] == rows[1], events[0]["processes"], events[0]["reason"].replace(" ", "-"),
+      len(started), len(multiprocessing.active_children()))
+"""
 
 
 class TestProcesses:
@@ -602,11 +666,35 @@ class TestProcesses:
 
         serial = _rows(small_config(workers=1))
         monkeypatch.setattr(samples, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(samples, "ProcessPoolExecutor", FailingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FailingPool)
         caplog.set_level(logging.DEBUG, logger="censtail")
         assert _rows(small_config(workers=2)) == serial
         event = _events(caplog)[-1]
         assert event["processes"] == 1 and event["reason"].startswith("pool failed: ")
+
+    def test_a_one_process_run_never_loads_the_pool(self):
+        assert _run_probe(_POOL_IMPORT_PROBE) == ["loaded:"]
+
+    @pytest.mark.skipif(sys.platform != "linux"
+                        or "fork" not in multiprocessing.get_all_start_methods(),
+                        reason="Linux with fork offered")
+    def test_linux_forks_where_another_method_is_the_default(self, monkeypatch, caplog):
+        """No start method set and ``forkserver`` listed first, as from
+        Python 3.14: W1 on 2 workers still forks, and gives the serial CSV
+        bytes."""
+        serial = render_csv(run_simulation(w1_config(1)).to_table())
+        monkeypatch.setattr(samples, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(multiprocessing, "get_start_method", lambda allow_none=False: None)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["forkserver", "spawn", "fork"])
+        caplog.set_level(logging.DEBUG, logger="censtail")
+        assert render_csv(run_simulation(w1_config(2)).to_table()) == serial
+        assert (_events(caplog)[-1]["processes"], _events(caplog)[-1]["reason"]) == (2, None)
+        assert multiprocessing.active_children() == []
+
+    def test_a_start_method_set_to_spawn_runs_in_the_caller(self):
+        assert _run_probe(_SPAWN_PROBE) == ["True", "1", "fork-unsafe", "0", "0"]
+        assert multiprocessing.active_children() == []
 
     @needs_fork
     def test_each_run_logs_one_debug_event(self, monkeypatch, caplog, capsys):
