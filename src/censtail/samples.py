@@ -2,18 +2,17 @@
 the top order statistics, ``value,delta`` CSV input, and the CSV text of
 result tables.
 
-A CSV path is parsed by ``numpy.loadtxt`` in blocks; a large file is cut
-at line ends into parts parsed at the same time (:func:`_in_processes`),
-and their largest rows are merged in file order.  Whatever that pass does
-not accept is read by a row scanner, which alone reports errors."""
+A CSV path is read once, in byte blocks cut at line ends that
+``numpy.loadtxt`` parses; a large file is cut at line ends into parts
+parsed at the same time (:func:`_in_processes`), and their largest rows
+are merged in file order.  Whatever that pass does not accept is read by
+a row scanner, which alone reports errors."""
 
 from __future__ import annotations
 
 import csv
 import io
-import itertools
 import logging
-import math
 import os
 import sys
 import threading
@@ -262,13 +261,14 @@ class TopRows(NamedTuple):
 def read_csv(source, *, header=None, top=None):
     """Read a censored sample from a ``value,delta`` CSV file.
 
-    A path is parsed by ``numpy.loadtxt`` in blocks of rows, a text stream
-    by a row scanner (``csv.reader`` and ``float`` on each row).  Both accept
-    the same inputs and give bit-identical values: whatever the vectorised
-    pass does not accept outright is read again by the scanner, so errors
-    and their line numbers always come from the scanner.  A file of at
-    least twice ``_PART_BYTES`` is cut at line ends into parts that are
-    parsed at the same time, one process each (:func:`_read_path_fast`).
+    A path is parsed by ``numpy.loadtxt`` in blocks of at most 128 KiB cut
+    at line ends, a text stream by a row scanner (``csv.reader`` and
+    ``float`` on each row).  Both accept the same inputs and give
+    bit-identical values: whatever the vectorised pass does not accept
+    outright is read again by the scanner, so errors and their line
+    numbers always come from the scanner.  A file of at least twice
+    ``_PART_BYTES`` is cut at line ends into parts that are parsed at the
+    same time, one process each (:func:`_read_path_fast`).
 
     With ``top``, only ``top_order_statistics(sample, top)`` is kept.  The
     input is then never held whole, by either reader: each block of rows is
@@ -332,7 +332,8 @@ def read_csv(source, *, header=None, top=None):
                    "bytes=%(bytes)s seconds=%(seconds).6f", notes, extra={"read_csv": notes})
 
 
-_BLOCK_ROWS = 1 << 16  # rows per block: of loadtxt here, of draws in models._top_sample
+_BLOCK_ROWS = 1 << 16  # rows per block: of the row scanner, of draws in models._top_sample
+_BLOCK_BYTES = 1 << 17  # most bytes per loadtxt block: csv's default field_size_limit()
 # Starting and joining a process pool takes 7-15 ms on a 2-core Xeon VM, as
 # long as loadtxt takes for about 1 MB of CSV: a part is worth a process
 # from about twice that.
@@ -352,10 +353,12 @@ def _read_path_fast(path, header, top=None, notes=None):
     would give.  Line 1 decides the header as the scanner's first non-empty
     row does, so a line 1 that is blank, or holds a quote (the csv row may
     then span lines) or a NUL (which csv.reader before Python 3.11
-    refuses), is left to the scanner.  loadtxt iterates the lines
-    csv.reader iterates and skips the same blank ones; it parses a field to
-    the value ``float`` gives, and refuses quotes, underscores and
-    non-ASCII digits, which ``float`` or csv.reader read differently.
+    refuses), is left to the scanner, and so is a file with a line longer
+    than ``csv.field_size_limit()`` or 128 KiB (:func:`_parse_part`).
+    loadtxt iterates the lines csv.reader iterates and skips the same blank
+    ones; it parses a field to the value ``float`` gives, and refuses
+    quotes, underscores and non-ASCII digits, which ``float`` or csv.reader
+    read differently.
 
     The file is cut just past a ``\\n`` into ``_processes(bytes //
     _PART_BYTES)`` parts, parsed by :func:`_parse_part` through
@@ -490,27 +493,38 @@ def _parse_part(path, start, stop, skip, top):
     no rows).  ``start`` is a line start and ``stop`` just past a line
     end; the first ``skip`` lines are not rows.
 
-    The lines are parsed by ``loadtxt`` in blocks of ``_BLOCK_ROWS`` rows,
-    and each block is checked as :class:`CensoredSample` checks a sample;
-    loadtxt goes on where the previous call stopped, so no table of the
-    whole part is made.  A U+FEFF is skipped only at the file's start, as
-    the scanner skips it.  Whatever the part does not accept is a
-    :class:`_Refused`.
+    The part's bytes are read once, in blocks of at most B + 1 bytes, B =
+    min(``csv.field_size_limit()``, ``_BLOCK_BYTES``).  Each block is cut
+    just past its last ``\\n`` or ``\\r``, the bytes after the cut start the
+    next block, and ``loadtxt`` parses it with universal newlines; each
+    block's table is checked as :class:`CensoredSample` checks a sample.
+    Every block thus starts at a line start, so one with no line end holds
+    a line of more than B bytes, whose field csv.reader may refuse: a
+    :class:`_Refused`, unless the block ends the part and holds at most B
+    bytes.  A U+FEFF is skipped only at the file's start, as the scanner
+    skips it.  Whatever the part does not accept is a :class:`_Refused`.
     """
     try:
-        lines, longest = _line_ends(path, start, stop)
-        if longest > csv.field_size_limit():
-            raise _Refused(f"a line of {longest} bytes is past csv.field_size_limit()")
-        kept = _RunningTop(top)
-        with open(path, "rb") as raw, warnings.catch_warnings():
-            # past the last row loadtxt warns and reads nothing
+        most = min(csv.field_size_limit(), _BLOCK_BYTES)
+        stop = sys.maxsize if stop is None else stop
+        kept, rest = _RunningTop(top), b""
+        encoding = "utf-8-sig" if start == 0 else "utf-8"
+        with open(path, "rb") as fh, warnings.catch_warnings():
+            # a block of blank lines only: loadtxt warns and reads nothing
             warnings.simplefilter("ignore", UserWarning)
-            raw.seek(start)
-            text = io.TextIOWrapper(raw, encoding="utf-8" if start else "utf-8-sig")
-            rows = text if stop is None else itertools.islice(text, lines)
-            while (table := np.loadtxt(rows, delimiter=",", comments=None, ndmin=2,
-                                       skiprows=skip, max_rows=_BLOCK_ROWS)).size:
-                skip = 0
+            fh.seek(start)
+            while block := rest + fh.read(min(most + 1 - len(rest), stop - fh.tell())):
+                # fewer than B + 1 bytes: the part's last block
+                cut = (len(block) if len(block) <= most
+                       else max(block.rfind(b"\n"), block.rfind(b"\r")) + 1)
+                if not cut:
+                    raise _Refused(f"a line is longer than {most} bytes")
+                block, rest = block[:cut], block[cut:]
+                table = np.loadtxt(io.StringIO(block.decode(encoding), newline=None),
+                                   delimiter=",", comments=None, ndmin=2, skiprows=skip)
+                encoding, skip = "utf-8", 0
+                if not table.size:
+                    continue
                 if table.shape[1] != 2:
                     raise _Refused(f"a row holds {table.shape[1]} fields")
                 z, delta = table[:, 0], table[:, 1]
@@ -521,33 +535,6 @@ def _parse_part(path, start, stop, skip, top):
         return kept.n, kept.rows() if kept.n else None
     except Exception as exc:
         raise _Refused(_reason(exc)) from None
-
-
-def _line_ends(path, start=0, stop=None, chunk=1 << 20):
-    """The lines from byte ``start`` of a file to byte ``stop`` (None: its
-    end), as ``\\n``, ``\\r\\n`` and a lone ``\\r`` end them, and the most
-    bytes any of them holds between its line ends: a bound on its longest
-    csv field, which csv.reader refuses past ``csv.field_size_limit()``."""
-    ends = longest = 0
-    run, after_cr = 1, False  # run: bytes since the last line end, plus one
-    with open(path, "rb") as fh:
-        fh.seek(start)
-        left = math.inf if stop is None else stop - start
-        while left > 0 and (block := fh.read(min(chunk, left))):
-            left -= len(block)
-            octets = np.frombuffer(block, np.uint8)
-            has_cr = b"\r" in block
-            at = np.flatnonzero((octets == 10) | (octets == 13) if has_cr else octets == 10)
-            # a \r\n is one line end, also across two blocks
-            ends += (at.size - (block.count(b"\r\n") if has_cr else 0)
-                     - (after_cr and block[0] == 10))
-            after_cr = block[-1] == 13
-            if at.size == 0:
-                run += len(block)
-                continue
-            longest = max(longest, run + at[0], np.diff(at).max(initial=0))
-            run = len(block) - at[-1]
-    return ends + (run > 1), int(max(longest, run)) - 1
 
 
 def _scan_csv(source, header, top=None):

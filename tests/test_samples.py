@@ -374,20 +374,76 @@ class TestReadCsvPath:
         _assert_same_as_scanner(path, header)
         _assert_same_as_scanner(str(path), header)
 
-    @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 1 << 20])
-    def test_longest_line_across_read_blocks(self, tmp_path, chunk):
-        """_line_ends gives the lines universal newlines read and the longest
-        of them, over the whole file and over each range cut past a \\n."""
-        path = tmp_path / "lines.csv"
-        for text in ("", "abc", "a\nbcd\r\nef", "\r\r\n", "ab\rcdefgh\n", "abcdefgh\r",
-                     "a\r\nb\r\n\ncd\r\r\n\refg\n"):
-            path.write_bytes(text.encode())
-            cuts = [i + 1 for i, c in enumerate(text) if c == "\n"]
-            for start, stop in [(0, None)] + [(0, c) for c in cuts] + [(c, None) for c in cuts]:
-                part = text[start:stop]
-                lines = io.TextIOWrapper(io.BytesIO(part.encode())).readlines()
-                want = max(len(line) for line in part.replace("\r", "\n").split("\n"))
-                assert samples._line_ends(path, start, stop, chunk) == (len(lines), want)
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("bound", ["block bytes", "field size limit", "default"])
+    def test_a_line_past_the_block_bound_goes_to_the_scanner(self, tmp_path, monkeypatch,
+                                                              bound, end):
+        """Blocks hold at most B + 1 bytes, B = min(csv.field_size_limit(),
+        _BLOCK_BYTES): the vectorised pass refuses a file exactly when one
+        of its lines holds more than B bytes, and otherwise gives the
+        scanner's rows, wherever the line stands."""
+        limit = csv.field_size_limit()
+        if bound == "block bytes":
+            monkeypatch.setattr(samples, "_BLOCK_BYTES", 32)
+        elif bound == "field size limit":
+            csv.field_size_limit(40)
+        most = min(csv.field_size_limit(), samples._BLOCK_BYTES)
+        rows = [f"{i + 1.5!r},{i % 2}" for i in range(6)]
+        layouts = {  # the lines before the long one, and after it
+            "first": ([], ["", *rows, ""]),
+            "middle": (["value,delta", "", *rows[:3], "", ""], [*rows[3:], ""]),
+            "last": (["value,delta", *rows, "", ""], []),
+            "before a cut": (["value,delta", "", *rows[:3]], ["", *rows[3:], ""]),
+            "after a cut": (["value,delta", "", *rows[:3], ""], [*rows[3:], ""]),
+        }
+        path = tmp_path / "long.csv"
+        try:
+            for where, (before, after) in layouts.items():
+                for length in (most - 1, most, most + 1):
+                    long = "1." + "0" * (length - 4) + ",1"
+                    head = end.join([*before, long]) + (end if after else "")
+                    path.write_bytes((head + end.join(after)).encode())
+                    with monkeypatch.context() as mp:
+                        if "cut" in where:  # the long line ends one part or starts the next
+                            cut = len(head) - (0 if where == "before a cut" else len(long + end))
+                            mp.setattr(samples, "_processes", lambda wanted: 2)
+                            mp.setattr(samples, "_byte_ranges",
+                                       lambda path, size, parts: [(0, cut), (cut, None)])
+                        refused = samples._read_path_fast(path, None) is None
+                        assert refused == (length > most), (where, length)
+                        _assert_same_as_scanner(path, None)
+        finally:
+            csv.field_size_limit(limit)
+
+    def test_blocks_of_blank_lines_only_are_skipped(self, tmp_path, monkeypatch):
+        """A block that holds only blank lines gives loadtxt no rows, and the
+        blocks after it are still read."""
+        path = tmp_path / "blank.csv"
+        path.write_bytes(b"value,delta\n1.5,1\n" + b"\n" * 40 + b"2.5,0\r\n"
+                         + b"\r\n" * 30 + b"3.5,1\n" + b"\r" * 20 + b"4.5,1")
+        monkeypatch.setattr(samples, "_BLOCK_BYTES", 16)
+        loadtxt, tables = np.loadtxt, []
+
+        def counted(*args, **kwargs):
+            tables.append(loadtxt(*args, **kwargs))
+            return tables[-1]
+
+        monkeypatch.setattr(np, "loadtxt", counted)
+        got = samples._read_path_fast(path, None)
+        assert len(tables) >= 3 and any(table.size == 0 for table in tables[1:-1])
+        _assert_rows(got, [1.5, 2.5, 3.5, 4.5], [1, 0, 1, 1])
+        _assert_same_as_scanner(path, None)
+
+    @pytest.mark.parametrize("block_bytes", [12, 1 << 17])
+    def test_a_byte_order_mark_that_starts_a_later_block_is_the_scanners(
+            self, tmp_path, monkeypatch, block_bytes):
+        # with 12 bytes, the third block starts at the U+FEFF
+        monkeypatch.setattr(samples, "_BLOCK_BYTES", block_bytes)
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"value,delta\n1.5,1\n\xef\xbb\xbf2.5,0\n3.5,1\n")
+        assert samples._read_path_fast(path, None) is None
+        with pytest.raises(ParseError, match="row 3"):
+            read_csv(path)
 
     def test_header_only_file_raises_without_a_warning(self, tmp_path):
         path = tmp_path / "header.csv"
@@ -475,6 +531,7 @@ def test_block_read_matches_row_scanner(tmp_path, text, header, block, top):
     path.write_bytes(text.encode("utf-8"))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(samples, "_BLOCK_ROWS", block)
+        mp.setattr(samples, "_BLOCK_BYTES", 48 * block)
         got = _outcome(lambda: read_csv(path, header=header, top=top))
     want = _outcome(lambda: _scan(path, header))
     if isinstance(want, tuple):
@@ -494,12 +551,14 @@ class TestReadCsvTop:
                                                        block):
         # few distinct values, so tie blocks of mixed indicators straddle every cut
         monkeypatch.setattr(samples, "_BLOCK_ROWS", block)
+        monkeypatch.setattr(samples, "_BLOCK_BYTES", 16 * block)
         z = rng.integers(1, 9, 60) / 4.0
         delta = rng.integers(0, 2, 60)
         text = "value,delta\n" + "".join(f"{v!r},{d}\n" for v, d in zip(z.tolist(), delta.tolist()))
         path, quoted = tmp_path / "ties.csv", tmp_path / "quoted.csv"
         path.write_text(text)
         quoted.write_text(_quoted(text))
+        assert samples._read_path_fast(path, None) is not None  # in blocks of a few rows
         assert samples._read_path_fast(quoted, None) is None  # the scanner reads it
         # a path, a text stream and a quoted path: the last two go through the scanner
         for read in (lambda **kw: read_csv(path, **kw),
@@ -541,6 +600,7 @@ class TestReadCsvTop:
     def test_errors_are_the_whole_files(self, tmp_path, monkeypatch):
         # a bad row below the top still fails the read, as the scanner reports it
         monkeypatch.setattr(samples, "_BLOCK_ROWS", 2)
+        monkeypatch.setattr(samples, "_BLOCK_BYTES", 16)
         path = tmp_path / "bad.csv"
         path.write_text("value,delta\n5,1\n6,1\n7,1\n1,2\n")
         with pytest.raises(InvalidIndicator):
@@ -674,6 +734,8 @@ class TestReadCsvParts:
         path.write_bytes(data)
         _parted(monkeypatch, path, parts)
         monkeypatch.setattr(samples, "_BLOCK_ROWS", 4)
+        monkeypatch.setattr(samples, "_BLOCK_BYTES", 32)
+        assert samples._read_path_fast(path, None) is not None
         for top in (None, 1, 2, 5, 17, 30, 45, 89, 90, 91, 1000):
             got = _outcome(lambda: read_csv(path, top=top))
             _assert_same_read(got, _scanned(data, None, top))
@@ -850,6 +912,7 @@ def test_split_read_matches_row_scanner(tmp_path, text, header, parts, top):
     with pytest.MonkeyPatch.context() as mp:
         _parted(mp, path, parts)
         mp.setattr(samples, "_BLOCK_ROWS", 2)
+        mp.setattr(samples, "_BLOCK_BYTES", 48)
         got = _outcome(lambda: read_csv(path, header=header, top=top))
     want = _outcome(lambda: _scan(path, header))
     if isinstance(want, tuple):
