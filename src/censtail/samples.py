@@ -372,17 +372,11 @@ def _read_path_fast(path, header, top=None, notes=None):
     """
     notes = {} if notes is None else notes
     try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            line = fh.readline().rstrip("\r\n")
-            size = os.fstat(fh.fileno()).st_size
-        if not line or '"' in line or "\x00" in line:
-            raise _Refused("line 1 is blank or holds a quote or a NUL")
-        skip = int(_is_header(line.split(","), header))
+        size = os.stat(path).st_size
         ranges = _byte_ranges(path, size, _processes(size // _PART_BYTES))
         notes.update(parts=len(ranges), bytes=size)
         parts, failed = _in_processes(
-            _parse_part, [(path, start, stop, skip if start == 0 else 0, top)
-                          for start, stop in ranges])
+            _parse_part, [(path, start, stop, header, top) for start, stop in ranges])
         if failed:
             notes.update(parts=1, reason=f"process pool failed, parsed here: {failed}")
         n = sum(count for count, _ in parts)
@@ -486,12 +480,13 @@ def _line_start_after(fh, at):
     return None
 
 
-def _parse_part(path, start, stop, skip, top):
+def _parse_part(path, start, stop, header, top):
     """The row count of the lines from byte ``start`` of the file at
     ``path`` to byte ``stop`` (None: its end), and their rows that
     ``_RunningTop(top)`` keeps, as ``(z, delta)`` in file order (None for
     no rows).  ``start`` is a line start and ``stop`` just past a line
-    end; the first ``skip`` lines are not rows.
+    end.  Line 1 of the file, read from its first block, is a header as
+    ``_is_header(fields, header)`` decides.
 
     The part's bytes are read once, in blocks of at most B + 1 bytes, B =
     min(``csv.field_size_limit()``, ``_BLOCK_BYTES``).  Each block is cut
@@ -520,9 +515,14 @@ def _parse_part(path, start, stop, skip, top):
                 if not cut:
                     raise _Refused(f"a line is longer than {most} bytes")
                 block, rest = block[:cut], block[cut:]
-                table = np.loadtxt(io.StringIO(block.decode(encoding), newline=None),
+                text, skip = block.decode(encoding), 0
+                if encoding == "utf-8-sig":  # line 1 of the file
+                    line, encoding = text.partition("\n")[0].partition("\r")[0], "utf-8"
+                    if not line or '"' in line or "\x00" in line:
+                        raise _Refused("line 1 is blank or holds a quote or a NUL")
+                    skip = int(_is_header(line.split(","), header))
+                table = np.loadtxt(io.StringIO(text, newline=None),
                                    delimiter=",", comments=None, ndmin=2, skiprows=skip)
-                encoding, skip = "utf-8", 0
                 if not table.size:
                     continue
                 if table.shape[1] != 2:

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -24,3 +29,19 @@ def make_complete(rng, n=None, allow_ties=False):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(args, threads=None, cwd=None, timeout=300):
+    """Run ``python *args`` in a fresh interpreter that imports this tree's
+    censtail, with ``CENS_TAIL_THREADS`` unset unless ``threads`` is given;
+    its CompletedProcess, stdout and stderr as text."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    env.pop("CENS_TAIL_THREADS", None)
+    if threads is not None:
+        env["CENS_TAIL_THREADS"] = str(threads)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          cwd=cwd, timeout=timeout)

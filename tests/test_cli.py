@@ -3,10 +3,7 @@ import json
 import math
 import os
 import stat
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +18,7 @@ from censtail import (
 )
 from censtail import cli
 from censtail.cli import main
-from conftest import make_censored
+from conftest import make_censored, run_python
 
 
 def write_sample_csv(path, rows, header=True):
@@ -588,8 +585,6 @@ class TestCheckKernels:
         assert main(["check-kernels", "--kernels", "gaussian"]) == 1
 
 
-_SRC = Path(__file__).resolve().parents[1] / "src"
-
 _QUADRATURE_PROBE = """
 import sys
 import censtail
@@ -620,13 +615,8 @@ def test_estimate_and_simulate_do_not_load_quadrature(tmp_path):
     data = tmp_path / "data.csv"
     write_sample_csv(data, [(1.0 + v * v, int(v % 3 != 0)) for v in range(20)])
     config = small_sim_config(tmp_path)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(_SRC), env.get("PYTHONPATH"))))
-    result = subprocess.run(
-        [sys.executable, "-c", _QUADRATURE_PROBE, str(data), str(tmp_path / "path.csv"),
-         str(config), str(tmp_path / "sim.csv")],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
+    result = run_python(["-c", _QUADRATURE_PROBE, str(data), str(tmp_path / "path.csv"),
+                         str(config), str(tmp_path / "sim.csv")])
     assert result.returncode == 0, result.stderr
     # 1.875^2 times the integral of (1 - s^2)^4 over (0, 1), which is 128/315
     assert float(result.stdout.split()[-1]) == pytest.approx(10 / 7, abs=1e-12)
@@ -653,13 +643,7 @@ def test_simulate_memory_does_not_grow_with_n(tmp_path, censor):
     config = small_sim_config(tmp_path, n=10**7, replications=2, k_values=[10, 100],
                               model={"loss": {"family": "burr", "gamma1": 0.4, "eta": 0.25},
                                      "censor": censor})
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(_SRC), env.get("PYTHONPATH"))))
-    env.pop("CENS_TAIL_THREADS", None)
-    result = subprocess.run(
-        [sys.executable, "-c", _PEAK_PROBE, "simulate", "--config", str(config),
-         "--output", str(tmp_path / "sim.csv")],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
+    result = run_python(["-c", _PEAK_PROBE, "simulate", "--config", str(config),
+                         "--output", str(tmp_path / "sim.csv")])
     assert result.returncode == 0, result.stderr
     assert int(result.stdout.split()[-1]) < 100 * 1024

@@ -415,6 +415,27 @@ class TestReadCsvPath:
         finally:
             csv.field_size_limit(limit)
 
+    def test_a_long_line_1_is_never_held_whole(self, tmp_path):
+        """Line 1 is sniffed in the first block of at most B + 1 bytes, so a
+        50 MB line 1 is refused without reading it whole; the scanner's
+        error stands."""
+        path = tmp_path / "long.csv"
+        with open(path, "wb") as fh:
+            fh.write(b"1.")
+            for _ in range(50):
+                fh.write(b"0" * 10**6)
+            fh.write(b",1\n")
+        tracemalloc.start()
+        try:
+            assert samples._read_path_fast(path, None) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, peak
+        with pytest.raises(ParseError, match="field larger than field limit") as err:
+            read_csv(path)
+        assert err.value.row == 1
+
     def test_blocks_of_blank_lines_only_are_skipped(self, tmp_path, monkeypatch):
         """A block that holds only blank lines gives loadtxt no rows, and the
         blocks after it are still read."""

@@ -4,13 +4,11 @@ import logging
 import math
 import multiprocessing
 import os
-import subprocess
 import sys
 import threading
 import tracemalloc
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +39,7 @@ from censtail import models, samples, simulate
 from censtail.errors import ConfigError, InvalidK, SimulationError, TooFewPoints
 from censtail.estimators import _tail_path
 from censtail.simulate import _collect_paths, _replicate_paths
+from conftest import run_python
 from reference_impl import whole_sample
 
 CENSORED_MODEL = ModelSpec(loss=Burr(0.4, 0.25), censor=Frechet(3.6))
@@ -512,16 +511,10 @@ def _events(caplog):
             if hasattr(record, "run_simulation")]
 
 
-_SRC = Path(__file__).resolve().parents[1] / "src"
-
-
 def _run_probe(script):
     """Run ``script`` in a fresh interpreter that imports this tree's
     censtail; its stdout, split at whitespace."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(_SRC), env.get("PYTHONPATH"))))
-    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                            env=env, timeout=300)
+    result = run_python(["-c", script])
     assert result.returncode == 0, result.stderr
     return result.stdout.split()
 
