@@ -132,13 +132,13 @@ def _suffix_sums(x):
     return sums
 
 
-def _top_view(sample, lo):
-    """The order statistics from the start of the tie block at sorted
-    position ``lo`` up to the maximum, with their indicators:
-    :func:`~censtail.samples.top_order_statistics` of the top n - lo, sorted
-    by :func:`~censtail.samples.sort_with_concomitants` unless it is
-    already a slice of a sorted sample."""
-    top = top_order_statistics(sample, sample.n - lo)
+def _top_view(sample, m):
+    """The m largest order statistics, with the rest of the tie block at the
+    m-th largest, and their indicators, ascending (the whole sample for m >=
+    n): :func:`~censtail.samples.top_order_statistics`, sorted by
+    :func:`~censtail.samples.sort_with_concomitants` unless it is already a
+    slice of a sorted sample."""
+    top = top_order_statistics(sample, m)
     if not isinstance(top, SortedCensoredSample):
         top = sort_with_concomitants(top)
     return top.z, top.delta
@@ -199,12 +199,12 @@ def _tail_path(sample, k_list, names=(), kernels=()):
     found once; KM is computed only when ``worms`` is requested and NA only
     when ``mns`` or a kernel is, as no other row reads them.  As every sum
     runs from the top down, no cell depends on the rest of the grid: each
-    equals its scalar estimator bit for bit.  Kernels without
-    ``g_prime_coefficients`` are evaluated one k at a time instead.
+    equals its scalar estimator bit for bit.  The kernel rows share one
+    stack of hazard * NA^p rows, one per power p that any of them needs;
+    kernels without ``g_prime_coefficients`` go one k at a time instead.
     """
-    n = sample.n
     k = np.asarray(k_list, dtype=np.int64)
-    z, delta = _top_view(sample, max(n - 1 - int(k.max(initial=1)), 0))
+    z, delta = _top_view(sample, int(k.max(initial=1)) + 1)
     t = z.size - 1 - k  # threshold indices into the view
     logz = np.log(z)
     spacing = np.diff(logz)
@@ -230,44 +230,35 @@ def _tail_path(sample, k_list, names=(), kernels=()):
         values["worms"] = np.divide(_suffix_sums(km[:-1] * spacing)[t], km_t,
                                     out=np.full(km_t.shape, np.nan), where=km_t != 0)
     if kerns:
-        values.update(_kernel_rows(kerns, t, hazard, logz, spacing,
-                                   _view_survival(hazard, blocks)))
-    rows = [values[e] for e in entries]
-    return np.array(rows, dtype=float).reshape(len(rows), k.size)
-
-
-def _kernel_rows(kernels, t, weight, logz, spacing, na):
-    """Kernel estimator values at the threshold indices ``t``, keyed by kernel."""
-    rows = {}
-    poly = [kern for kern in kernels if kern.g_prime_coefficients is not None]
-    powers = sorted({m + 1 for kern in poly
-                     for m, c in enumerate(kern.g_prime_coefficients) if c})
-    if powers:
-        # a power of na lives only until the next one, and at t
-        weighted = np.empty((len(powers), na.size))
-        at_t = []
-        na_p, power = na, 1
-        for i, p in enumerate(powers):
-            while power < p:
-                na_p, power = na_p * na, power + 1
-            np.multiply(weight, na_p, out=weighted[i])
-            at_t.append(na_p[t])
-        weighted = _suffix_sums(weighted)[:, 1:-1]
-        weighted *= spacing
-        sums = _suffix_sums(weighted)[:, t]
-        ratio_sums = {p: s / a for p, s, a in zip(powers, sums, at_t)}
-        for kern in poly:
-            rows[kern] = sum(c * ratio_sums[m + 1]
-                             for m, c in enumerate(kern.g_prime_coefficients) if c)
-    for kern in kernels:
-        if kern.g_prime_coefficients is None:
-            row = np.empty(t.size)
+        na = _view_survival(hazard, blocks)
+        poly = [kern for kern in kerns if kern.g_prime_coefficients is not None]
+        powers = sorted({m + 1 for kern in poly
+                         for m, c in enumerate(kern.g_prime_coefficients) if c})
+        if powers:
+            # a power of na lives only until the next one, and at t
+            weighted = np.empty((len(powers), na.size))
+            at_t = []
+            na_p, power = na, 1
+            for i, p in enumerate(powers):
+                while power < p:
+                    na_p, power = na_p * na, power + 1
+                np.multiply(hazard, na_p, out=weighted[i])
+                at_t.append(na_p[t])
+            weighted = _suffix_sums(weighted)[:, 1:-1]
+            weighted *= spacing
+            sums = _suffix_sums(weighted)[:, t]
+            ratio_sums = {p: s / a for p, s, a in zip(powers, sums, at_t)}
+            for kern in poly:
+                values[kern] = sum(c * ratio_sums[m + 1]
+                                   for m, c in enumerate(kern.g_prime_coefficients) if c)
+        for kern in kerns.difference(poly):
+            row = values[kern] = np.empty(t.size)
             for j, tj in enumerate(t.tolist()):
                 ratio = na[tj + 1:] / na[tj]
                 excess = logz[tj + 1:] - logz[tj]
-                row[j] = np.sum(weight[tj + 1:] * ratio * kern.g_prime(ratio) * excess)
-            rows[kern] = row
-    return rows
+                row[j] = np.sum(hazard[tj + 1:] * ratio * kern.g_prime(ratio) * excess)
+    rows = [values[e] for e in entries]
+    return np.array(rows, dtype=float).reshape(len(rows), k.size)
 
 
 def _at_k(sample, k, names=(), kernels=()):

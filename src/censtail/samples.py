@@ -268,7 +268,10 @@ def read_csv(source, *, header=None, top=None):
     outright is read again by the scanner, so errors and their line
     numbers always come from the scanner.  A file of at least twice
     ``_PART_BYTES`` is cut at line ends into parts that are parsed at the
-    same time, one process each (:func:`_read_path_fast`).
+    same time, one process each (:func:`_read_path_fast`); a refused part
+    stops the others at their next block.  The scanner reads each line
+    only up to a cap of 4 * ``csv.field_size_limit()`` + 8 characters, and
+    a longer line is a ParseError on its row (:func:`_capped_lines`).
 
     With ``top``, only ``top_order_statistics(sample, top)`` is kept.  The
     input is then never held whole, by either reader: each block of rows is
@@ -363,12 +366,14 @@ def _read_path_fast(path, header, top=None, notes=None):
     The file is cut just past a ``\\n`` into ``_processes(bytes //
     _PART_BYTES)`` parts, parsed by :func:`_parse_part` through
     :func:`_in_processes`; any part refused sends the whole file to the
-    scanner.  The parts' kept rows go into one :class:`_RunningTop` in file
-    order: the top of a union is the top of the parts' tops, so the rows,
-    their order and the row count do not depend on the cuts.
+    scanner and stops the other parts at their next block.  The parts'
+    kept rows go into one :class:`_RunningTop` in file order: the top of a
+    union is the top of the parts' tops, so the rows, their order and the
+    row count do not depend on the cuts.
 
     ``notes``, a dict, gets the parts (1 if the pool failed), the bytes,
-    and why the scanner must read the file or the pool failed.
+    and why the scanner must read the file or the pool failed: the first
+    part's reason, "another part was refused" where a later part stopped it.
     """
     notes = {} if notes is None else notes
     try:
@@ -430,26 +435,39 @@ def _processes(wanted):
     return min(wanted, _usable_cpus())
 
 
+_STOP = None  # while _in_processes runs jobs in a pool: the Event a refused part sets
+
+
 def _in_processes(fn, jobs):
     """``[fn(*job) for job in jobs]``, and None or why the pool failed.
 
     The first job runs here and each other in a forked worker, all at the
-    same time, and every worker is joined before this returns.  Where the
-    pool cannot start or breaks (``OSError``, or ``RuntimeError`` such as
-    BrokenProcessPool), every job runs here, so a job that raises one of
-    those runs here again and raises.  The pool is imported only for two
-    jobs or more."""
+    same time, and every worker is joined before this returns.  Before the
+    pool forks, ``_STOP`` is set to a new ``multiprocessing.Event``, which
+    the workers inherit, and it is None again once the jobs are done, so an
+    event lives for one call only: :func:`_parse_part` sets it when its part
+    is refused, and the other parts stop at their next block.  Where the
+    event cannot be made or the pool cannot start or breaks (``OSError``, or
+    ``RuntimeError`` such as BrokenProcessPool), every job runs here, with
+    no event, so a job that raises one of those runs here again and raises.
+    ``multiprocessing`` and the pool are imported only for two jobs or
+    more."""
+    global _STOP
     if len(jobs) > 1:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
+        context = multiprocessing.get_context("fork")
         try:
-            with ProcessPoolExecutor(len(jobs) - 1,
-                                     mp_context=multiprocessing.get_context("fork")) as pool:
+            _STOP = context.Event()
+            with ProcessPoolExecutor(len(jobs) - 1, mp_context=context) as pool:
                 rest = [pool.submit(fn, *job) for job in jobs[1:]]
                 return [fn(*jobs[0]), *(future.result() for future in rest)], None
         except (OSError, RuntimeError) as exc:
-            return [fn(*job) for job in jobs], _reason(exc)
+            failed = _reason(exc)
+        finally:
+            _STOP = None
+        return [fn(*job) for job in jobs], failed
     return [fn(*job) for job in jobs], None
 
 
@@ -498,6 +516,10 @@ def _parse_part(path, start, stop, header, top):
     :class:`_Refused`, unless the block ends the part and holds at most B
     bytes.  A U+FEFF is skipped only at the file's start, as the scanner
     skips it.  Whatever the part does not accept is a :class:`_Refused`.
+
+    Run by :func:`_in_processes` in a pool, a refused part sets ``_STOP``,
+    and each part reads it before each block: once another part has been
+    refused, this one is refused too, after at most the block it is parsing.
     """
     try:
         most = min(csv.field_size_limit(), _BLOCK_BYTES)
@@ -509,6 +531,8 @@ def _parse_part(path, start, stop, header, top):
             warnings.simplefilter("ignore", UserWarning)
             fh.seek(start)
             while block := rest + fh.read(min(most + 1 - len(rest), stop - fh.tell())):
+                if _STOP is not None and _STOP.is_set():
+                    raise _Refused("another part was refused")
                 # fewer than B + 1 bytes: the part's last block
                 cut = (len(block) if len(block) <= most
                        else max(block.rfind(b"\n"), block.rfind(b"\r")) + 1)
@@ -534,6 +558,8 @@ def _parse_part(path, start, stop, header, top):
                 kept.add(z, delta.astype(np.int8))
         return kept.n, kept.rows() if kept.n else None
     except Exception as exc:
+        if _STOP is not None:
+            _STOP.set()
         raise _Refused(_reason(exc)) from None
 
 
@@ -542,7 +568,8 @@ def _scan_csv(source, header, top=None):
     and ``float`` on each row, each row checked as it is read, as
     :class:`CensoredSample` checks a sample.  Every ``_BLOCK_ROWS`` rows the
     checked rows go into a ``_RunningTop(top)``, as :func:`_parse_part`'s
-    blocks do, so with ``top`` it holds about 2 ``top`` rows plus a block."""
+    blocks do, so with ``top`` it holds about 2 ``top`` rows plus a block,
+    and each line only up to its cap (:func:`_csv_rows`)."""
     owned = isinstance(source, (str, os.PathLike))
     stream = open(source, "r", encoding="utf-8-sig", newline="") if owned else source
     kept, values, deltas = _RunningTop(top), [], []
@@ -598,8 +625,9 @@ def _csv_rows(stream):
     """csv.reader's rows of ``stream``.  A row csv.reader refuses, such as
     one with a field over ``csv.field_size_limit()``, is a ParseError with
     the reader's line number, and bytes that are not UTF-8 are a ParseError
-    too."""
-    reader = csv.reader(stream)
+    too.  The reader takes the lines of :func:`_capped_lines`, so no line
+    is held whole past its cap."""
+    reader = csv.reader(_capped_lines(stream))
     try:
         yield from reader
     except csv.Error as exc:
@@ -607,6 +635,22 @@ def _csv_rows(stream):
     except UnicodeDecodeError as exc:
         raise ParseError(f"input is not UTF-8 text: byte 0x{exc.object[exc.start]:02x}, "
                          f"{exc.reason}") from None
+
+
+def _capped_lines(stream):
+    """The physical lines of the text stream, read by ``readline`` with a
+    cap of 4 * ``csv.field_size_limit()`` + 8 characters: two fields of at
+    most the limit, quoted with every quote doubled, and a comma and a line
+    end fit in it.  A longer line is a ParseError on its line, the number
+    csv.reader would give it, once the cap + 1 characters are read."""
+    limit = csv.field_size_limit()
+    cap = min(4 * limit + 8, sys.maxsize - 1)
+    for number, line in enumerate(iter(lambda: stream.readline(cap + 1), ""), start=1):
+        if len(line) > cap:
+            raise ParseError(f"row {number}: line longer than {cap} characters, so a field "
+                             f"larger than field limit ({limit}) or more than 2 fields",
+                             row=number)
+        yield line
 
 
 def _is_header(fields, header):

@@ -70,7 +70,7 @@ def _curve(sample, km):
     the values change: the blocked sums are not flat to the bit across
     blocks.
     """
-    z, delta = _top_view(sample, 0)
+    z, delta = _top_view(sample, sample.n)
     z, delta = np.append(0.0, z), np.append(0, delta)
     start, end = blocks = _tie_blocks(z)
     values = _view_survival(delta / np.arange(z.size, 0, -1), blocks, km)

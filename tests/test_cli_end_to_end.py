@@ -55,6 +55,20 @@ def test_a_malformed_row_exits_2_naming_its_row(tmp_path):
     assert not (tmp_path / "tiny_bad_path.csv").exists()
 
 
+def test_a_50_mb_line_exits_2_with_one_error_line(tmp_path):
+    with open(tmp_path / "long.csv", "wb") as fh:
+        fh.write(b"value,delta\n1.5,1\n1.")
+        for _ in range(50):
+            fh.write(b"0" * 10**6)
+        fh.write(b",1\n2.5,0\n")
+    result = _censtail(tmp_path, "estimate", "--input", "long.csv",
+                       "--output", "long_path.csv", "--k", "1")
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: row 3: line longer than ")
+    assert result.stderr.count("\n") == 1
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["long.csv"]
+
+
 @pytest.mark.skipif(samples._processes(2) < 2,
                     reason="a file is parsed in parts only by forked workers on two CPUs")
 def test_parts_parsed_at_once_give_the_scanners_csv(tmp_path):

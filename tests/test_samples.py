@@ -436,6 +436,63 @@ class TestReadCsvPath:
             read_csv(path)
         assert err.value.row == 1
 
+    @pytest.mark.parametrize("line", [1, 3])
+    def test_a_long_line_is_never_held_whole_by_the_scanner(self, tmp_path, line):
+        """The scanner reads a line by ``readline`` with a cap of 4 *
+        csv.field_size_limit() + 8 characters, so a 50 MB line, read as a
+        path or as a text stream, is a ParseError on its row below 2 MiB."""
+        import concurrent.futures.process  # noqa: F401  the pool's modules load before the count
+
+        path = tmp_path / "long.csv"
+        with open(path, "wb") as fh:
+            fh.write(b"value,delta\n1.5,1\n" if line == 3 else b"")
+            fh.write(b"1.")
+            for _ in range(50):
+                fh.write(b"0" * 10**6)
+            fh.write(b",1\n2.5,0\n")
+        with open(path, "r", encoding="utf-8-sig", newline="") as stream:
+            for source in (path, stream):
+                tracemalloc.start()
+                try:
+                    with pytest.raises(ParseError, match="line longer than") as err:
+                        read_csv(source, top=5)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < 2 * 2**20, (source, peak)
+                assert err.value.row == line
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_lines_up_to_the_cap_keep_the_readers_verdicts(self, tmp_path, end):
+        """Every line of at most cap = 4 * csv.field_size_limit() + 8
+        characters, its end included, goes to csv.reader: fields of limit - 1,
+        limit and limit + 1 characters keep its verdicts, rows and texts, and
+        so does a line of exactly the cap.  A header of two fields of exactly
+        the limit, quoted with every quote doubled, still reads.  A line one
+        character longer is the scanner's length error on its row."""
+        limit = csv.field_size_limit()
+        cap = 4 * limit + 8
+        path = tmp_path / "bound.csv"
+
+        def read(*lines):
+            path.write_bytes("".join(line + end for line in lines).encode())
+            _assert_same_as_scanner(path, None)
+            return _outcome(lambda: read_csv(path))
+
+        for length in (limit - 1, limit):
+            _assert_rows(read("value,delta", "1." + "0" * (length - 2) + ",1", "2.5,0"),
+                         [1.0, 2.5], [1, 0])
+        assert read("value,delta", "1." + "0" * (limit - 1) + ",1", "2.5,0") == (
+            ParseError, 2, f"row 2: field larger than field limit ({limit})")
+        quoted = '"' + '""' * limit + '"'
+        _assert_rows(read(quoted + "," + quoted, "1.5,1", "2.5,0"), [1.5, 2.5], [1, 0])
+        fields = ("1," * cap)[:cap - len(end)]
+        assert read("1.5,1", fields, "2.5,0") == (
+            ParseError, 2, f"row 2: expected 2 fields, got {fields.count(',') + 1}")
+        assert read("1.5,1", fields + "1", "2.5,0") == (
+            ParseError, 2, f"row 2: line longer than {cap} characters, so a field larger "
+            f"than field limit ({limit}) or more than 2 fields")
+
     def test_blocks_of_blank_lines_only_are_skipped(self, tmp_path, monkeypatch):
         """A block that holds only blank lines gives loadtxt no rows, and the
         blocks after it are still read."""
@@ -839,6 +896,63 @@ class TestReadCsvParts:
         with pytest.raises(ParseError, match="row 62"):
             read_csv(path, top=3)
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("bad_part", [0, 1])
+    def test_a_refused_part_stops_the_other_within_one_block(self, tmp_path, rng,
+                                                             monkeypatch, bad_part):
+        """The refused part sets ``samples._STOP``; from then on the other part
+        parses at most the one loadtxt block it is on.  Each call is logged
+        with its process and whether the event was set."""
+        import multiprocessing
+        import os
+
+        monkeypatch.setattr(samples, "_BLOCK_BYTES", 1 << 12)
+        lines = ["value,delta\n", *_rows_text(rng, 10_000).splitlines(keepends=True)]
+        # a bad row on line 3, or on the first line of the second part
+        lines.insert(2 if bad_part == 0 else 5001, "abc,1\n")
+        cut = len("".join(lines[:5001]))
+        path = tmp_path / "bad.csv"
+        path.write_text("".join(lines))
+        log = tmp_path / "calls.txt"
+        loadtxt = np.loadtxt
+
+        def counting(*args, **kwargs):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {int(samples._STOP.is_set())}\n")
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counting)
+        monkeypatch.setattr(samples, "_processes", lambda wanted: 2)
+        monkeypatch.setattr(samples, "_byte_ranges",
+                            lambda path, size, parts: [(0, cut), (cut, None)])
+        notes = {}
+        assert samples._read_path_fast(path, None, 3, notes) is None
+        assert notes["parts"] == 2
+        calls = [line.split() for line in log.read_text().splitlines()]
+        assert calls
+        for pid in {pid for pid, _ in calls}:
+            assert sum(int(after) for p, after in calls if p == pid) <= 1, calls
+        assert multiprocessing.active_children() == []
+        assert samples._STOP is None
+
+    def test_no_stop_event_outlives_its_read(self, tmp_path, rng, monkeypatch):
+        """A refused read in parts leaves no event behind: the good file after
+        it reads in parts and in one part, on the vectorised pass."""
+        import multiprocessing
+
+        text = "value,delta\n" + _rows_text(rng, 200)
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        good.write_text(text)
+        bad.write_text(text + "abc,1\n")
+        _parted(monkeypatch, good, 2)
+        for path, parts in ((bad, 2), (good, 2), (bad, 2), (good, 1)):
+            if parts == 1:
+                monkeypatch.setattr(samples, "_PART_BYTES", 1 << 30)
+            notes = {}
+            got = samples._read_path_fast(path, None, 5, notes)
+            assert (got is None, notes["parts"]) == (path == bad, parts)
+            assert samples._STOP is None
+            assert multiprocessing.active_children() == []
 
     def test_one_part_without_fork_with_threads_or_in_a_daemon(self, monkeypatch):
         import multiprocessing

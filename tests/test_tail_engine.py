@@ -234,7 +234,7 @@ def test_view_survival_matches_curve_ratios():
         na_curve = reference_na_curve(sample).survival(sample.z)
         km_curve = reference_km_curve(sample).survival(sample.z)
         for lo in sorted({0, n // 2, n - 1}):
-            z, delta = _top_view(sample, lo)
+            z, delta = _top_view(sample, n - lo)
             start = n - z.size
             assert start <= lo and z[0] == sample.z[lo]
             assert start == 0 or sample.z[start - 1] < z[0]
